@@ -24,4 +24,4 @@ from .census import (CensusEntry, census_kappa_n4, census_perm_n4,
                      classify_grasaxis, full_census, identify)
 from .realize import (Realization, closure_check, collinear, embed_search,
                       fez_closure_witness, parametric_realization,
-                      verify_realization)
+                      verify_pg_embedding, verify_realization)

@@ -278,8 +278,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="force JSON output")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=0)
 
     top = argparse.ArgumentParser(prog="perspectra")
     top.add_argument("--version", action="version",

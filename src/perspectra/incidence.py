@@ -218,10 +218,6 @@ def verify(config: Configuration):
     return ConfigurationSignature(nu, r, b, kappa)
 
 
-def is_verified(config: Configuration) -> bool:
-    return isinstance(verify(config), ConfigurationSignature)
-
-
 def join(config: Configuration, x: PointLabel, y: PointLabel):
     """The partial operation: the unique line through x and y, if any.
 
@@ -248,27 +244,6 @@ def third_point(config: Configuration, x: PointLabel, y: PointLabel):
     return None
 
 
-def induced_subconfiguration(config: Configuration, subset) -> Configuration:
-    """Restriction to a point subset, keeping lines fully inside the subset."""
-    subset = set(subset)
-    for lab in subset:
-        config.index_of(lab)
-    keep = set(config.index_of(lab) for lab in subset)
-    lines = [config.line_labels(line) for line in config.lines
-             if all(i in keep for i in line)]
-    return Configuration.build(subset, lines)
-
-
-def collinearity_graph(config: Configuration) -> dict[PointLabel, frozenset[PointLabel]]:
-    adj = {lab: set() for lab in config.points}
-    for line in config.lines:
-        labs = config.line_labels(line)
-        for x, y in combinations(labs, 2):
-            adj[x].add(y)
-            adj[y].add(x)
-    return {lab: frozenset(nbrs) for lab, nbrs in adj.items()}
-
-
 def adjacency_indices(config: Configuration) -> list[set[int]]:
     adj = [set() for _ in config.points]
     for line in config.lines:
@@ -290,10 +265,23 @@ def to_json(config: Configuration) -> str:
 
 
 def from_json_dict(data: dict) -> Configuration:
+    """Inverse of to_json_dict; raises IncidenceError on any other shape."""
+    if not (isinstance(data, dict) and isinstance(data.get("lines"), list)
+            and isinstance(data.get("points"), list)
+            and all(isinstance(t, str) for t in data["points"])):
+        raise IncidenceError('expected {"points": [label, ...], "lines": [[index, ...], ...]}')
     labels = [parse_label(t) for t in data["points"]]
     if len(set(labels)) != len(labels):
         raise IncidenceError("duplicate point labels")
-    lines = [tuple(labels[i] for i in line) for line in data["lines"]]
+    lines = []
+    for line in data["lines"]:
+        if not isinstance(line, list) or len(line) < 2:
+            raise IncidenceError(f"line {line!r} is not a list of point indices")
+        lines.append([])
+        for i in line:
+            if type(i) is not int or not 0 <= i < len(labels):
+                raise IncidenceError(f"line {line!r}: no point with index {i!r}")
+            lines[-1].append(labels[i])
     return Configuration.build(labels, lines)
 
 

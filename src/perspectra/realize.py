@@ -5,9 +5,11 @@ search into small Desarguesian planes PG(2,q), and line-closure tests.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center)
@@ -18,80 +20,45 @@ from .families import SkewPerspectiveSpec, grassmannian, perm_spec, skew_perspec
 # ---------------------------------------------------------------------------
 # fields
 
-class PrimeField:
-    def __init__(self, p: int):
-        self.q = p
-        self.elements = list(range(p))
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError
-        return pow(a, self.q - 2, self.q)
+# extension fields GF(p^k) as (p, m): the modulus is x^k + m(x), with m's k
+# coefficients low first, so x^k = -m(x); GF(4) reduces by x^2 + x + 1
+_MODULI = {4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (1, 0))}
 
 
-class ExtField:
-    """GF(p^k) with elements encoded as base-p digit strings of the
-    polynomial coefficients (low digit first)."""
-
-    # modulus polynomials, low coefficient first, without the leading 1
-    _MODULI = {4: (2, (1, 1)), 8: (2, (1, 1, 0)), 9: (3, (1, 0))}
+class GF:
+    """GF(q) for q prime or q in {4, 8, 9}, with every operation a table
+    lookup.  Elements are 0..q-1; in GF(p^k) the base-p digits of an element,
+    low first, are the coefficients of its polynomial in x."""
 
     def __init__(self, q: int):
-        p, mod = self._MODULI[q]
+        p, mod = _MODULI.get(q, (q, ()))
+        k = max(len(mod), 1)
+        vecs = [tuple(e // p ** i % p for i in range(k)) for e in range(q)]
+        index = {v: e for e, v in enumerate(vecs)}
+
+        def times(u, v):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    prod[i + j] += x * y
+            for i in range(2 * k - 2, k - 1, -1):
+                for j, m in enumerate(mod):
+                    prod[i - k + j] -= prod[i] * m
+            return index[tuple(c % p for c in prod[:k])]
+
         self.q = q
-        self.p = p
-        self.k = len(mod)
-        self.mod = mod
         self.elements = list(range(q))
-        self._mul = [[self._mul_slow(a, b) for b in range(q)] for a in range(q)]
-        self._inv = [None] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-
-    def _digits(self, a):
-        out = []
-        for _ in range(self.k):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _encode(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def _mul_slow(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            for j, y in enumerate(db):
-                prod[i + j] = (prod[i + j] + x * y) % self.p
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j, m in enumerate(self.mod):
-                    prod[i - self.k + j] = (prod[i - self.k + j] - c * m) % self.p
-        return self._encode(prod[:self.k])
+        self._add = [[index[tuple((x + y) % p for x, y in zip(u, v))]
+                      for v in vecs] for u in vecs]
+        self._mul = [[times(u, v) for v in vecs] for u in vecs]
+        self._neg = [row.index(0) for row in self._add]
+        self._inv = [None] + [row.index(1) for row in self._mul[1:]]
 
     def add(self, a, b):
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % self.p for x, y in zip(da, db)])
+        return self._add[a][b]
 
     def neg(self, a):
-        return self._encode([(-x) % self.p for x in self._digits(a)])
+        return self._neg[a]
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -106,11 +73,9 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
-def galois_field(q: int):
-    if q in ExtField._MODULI:
-        return ExtField(q)
-    if _is_prime(q):
-        return PrimeField(q)
+def galois_field(q: int) -> GF:
+    if q in _MODULI or _is_prime(q):
+        return GF(q)
     raise IncidenceError(f"no field of order {q} available")
 
 
@@ -155,11 +120,17 @@ def verify_realization(config: Configuration, coords: dict,
     withheld one) collinear, and no other triple collinear.
 
     Returns (ok, reason)."""
-    labs = list(config.points)
-    for lab in labs:
+    for lab in config.points:
         if lab not in coords:
             return False, f"missing coordinates for {lab}"
-    pts = {lab: normalize(coords[lab]) for lab in labs}
+    pts = {lab: normalize(coords[lab]) for lab in config.points}
+    return _faithful(config, pts, collinear, withheld)
+
+
+def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
+    """The checks verify_realization and verify_pg_embedding share, on
+    points already normalized."""
+    labs = config.points
     for x, y in combinations(labs, 2):
         if pts[x] == pts[y]:
             return False, f"points {x} and {y} coincide"
@@ -168,14 +139,13 @@ def verify_realization(config: Configuration, coords: dict,
     for line in config.lines:
         if frozenset(line) == withheld_set:
             continue
-        a, b, c = (pts[config.points[i]] for i in line)
-        if not collinear(a, b, c):
+        if not is_collinear(*(pts[labs[i]] for i in line)):
             return False, f"line {tuple(map(str, config.line_labels(line)))} not collinear"
     for tri in combinations(range(len(labs)), 3):
         key = frozenset(tri)
         if key in on_line or key == withheld_set:
             continue
-        if collinear(*(pts[labs[i]] for i in tri)):
+        if is_collinear(*(pts[labs[i]] for i in tri)):
             return False, "spurious collinearity " + str(
                 tuple(str(labs[i]) for i in tri))
     return True, "faithful"
@@ -383,108 +353,160 @@ def pg2q_points(q: int):
     return pts
 
 
+@lru_cache(maxsize=8)
+def _plane(q: int):
+    """PG(2, q) as tables: pg2q_points(q), each line's bitmask of point
+    indices, and join[P * size + Q], the line through points P != Q (2 size^2
+    bytes).  Line L has the coordinates of point L; P is on L when P.L = 0."""
+    f = galois_field(q)
+    add, mul = f._add, f._mul
+    points = pg2q_points(q)
+    size = len(points)
+    join = array("H", [0]) * (size * size)
+    line_mask = []
+    for index, (a, b, c) in enumerate(points):
+        ma, mb, mc = mul[a], mul[b], mul[c]
+        on = [i for i, (x, y, z) in enumerate(points)
+              if add[add[ma[x]][mb[y]]][mc[z]] == 0]
+        line_mask.append(sum(1 << i for i in on))
+        for i in on:
+            for j in on:
+                join[i * size + j] = index
+    return points, line_mask, join
+
+
+def _third_points(config: Configuration):
+    """third[u][v]: the third point of the line through u and v, or None.
+    Raises IncidenceError unless every line has three points and no two
+    lines share two points."""
+    n = len(config.points)
+    third = [[None] * n for _ in range(n)]
+    for line in config.lines:
+        if len(line) != 3:
+            raise IncidenceError(f"line {line} does not have 3 points")
+        for x, y, z in permutations(line):
+            if third[x][y] not in (None, z):
+                raise IncidenceError(f"points {config.points[x]} and "
+                                     f"{config.points[y]} lie on two lines")
+            third[x][y] = z
+    return third
+
+
 class _Budget(Exception):
     pass
 
 
-class _PGSearch:
-    def __init__(self, config: Configuration, q: int, budget: int):
-        self.config = config
-        self.f = galois_field(q)
+class _Search:
+    """Forward checking (Haralick & Elliott 1980): each unplaced point of the
+    configuration keeps a bitmask domain of the plane points it may take."""
+
+    def __init__(self, third, plane, budget: int):
+        self.third = third
+        self.points, self.line_mask, self.join = plane
         self.budget = budget
         self.nodes = 0
-        self.points = pg2q_points(q)
-        self.n = len(config.points)
-        self.lines_of_point = [[] for _ in range(self.n)]
-        for line in config.lines:
-            for v in line:
-                self.lines_of_point[v].append(line)
-        self.concurrent = {frozenset(line) for line in config.lines}
 
-    def _collinear(self, u, v, w):
-        f = self.f
-        det = 0
-        for a, b, c, sgn in (
-                (u[0], v[1], w[2], 1), (u[1], v[2], w[0], 1),
-                (u[2], v[0], w[1], 1), (u[2], v[1], w[0], -1),
-                (u[0], v[2], w[1], -1), (u[1], v[0], w[2], -1)):
-            term = f.mul(f.mul(a, b), c)
-            det = f.add(det, term if sgn == 1 else f.neg(term))
-        return det == 0
+    def place(self, v, p, assign, domains):
+        """The other domains once v is at p, or None if one empties.  For
+        each placed u, L = join(p, assign[u]) leaves every domain, except that
+        the third point of a line {u, v, w} is confined to L.  These lines
+        meet only at p.  Placed points were checked when they filtered v."""
+        line_mask, third = self.line_mask, self.third[v]
+        row = p * len(self.points)
+        forbid = bit = 1 << p
+        onto = {}
+        for u, pu in assign.items():
+            mask = line_mask[self.join[row + pu]]
+            forbid |= mask
+            if third[u] in domains:
+                onto[third[u]] = mask & ~bit
+        out = {}
+        for x, dom in domains.items():
+            if x != v:
+                dom &= onto[x] if x in onto else ~forbid
+                if not dom:
+                    return None
+                out[x] = dom
+        return out
 
-    def _frame(self):
-        """Four configuration points, no three on a common line."""
-        for quad in combinations(range(self.n), 4):
-            if all(frozenset(t) not in self.concurrent
-                   for t in combinations(quad, 3)):
-                return quad
-        raise IncidenceError("no frame of four points in general position")
-
-    def run(self) -> EmbedResult:
-        if len(self.points) < self.n:
-            return EmbedResult("none", None, 0)
-        frame = self._frame()
-        one = 1
-        assign = {frame[0]: (one, 0, 0), frame[1]: (0, one, 0),
-                  frame[2]: (0, 0, one), frame[3]: (one, one, one)}
-        if not self._consistent(assign, frame[3]):
-            return EmbedResult("none", None, 0)
-        try:
-            found = self._solve(assign)
-        except _Budget:
-            return EmbedResult("inconclusive", None, self.nodes)
-        if found is None:
-            return EmbedResult("none", None, self.nodes)
-        labeled = {self.config.points[v]: found[v] for v in found}
-        return EmbedResult("found", labeled, self.nodes)
-
-    def _consistent(self, assign, v):
-        pv = assign[v]
-        done = [u for u in assign if u != v]
-        for line in self.lines_of_point[v]:
-            rest = [u for u in line if u != v]
-            if all(u in assign for u in rest):
-                if not self._collinear(pv, assign[rest[0]], assign[rest[1]]):
-                    return False
-        for u, w in combinations(done, 2):
-            if frozenset((u, w, v)) in self.concurrent:
-                continue
-            if self._collinear(assign[u], assign[w], pv):
-                return False
-        return True
-
-    def _next_var(self, assign):
-        best, score = None, -1
-        for v in range(self.n):
-            if v in assign:
-                continue
-            s = sum(1 for line in self.lines_of_point[v]
-                    if sum(1 for u in line if u in assign) == 2)
-            if s > score:
-                best, score = v, s
-        return best
-
-    def _solve(self, assign):
-        if len(assign) == self.n:
-            return dict(assign)
-        v = self._next_var(assign)
-        used = set(assign.values())
-        for cand in self.points:
+    def solve(self, assign, domains):
+        """Place the point with the smallest domain next, trying plane points
+        in index order; `nodes` counts the placements tried."""
+        if not domains:
+            return assign
+        v = min(domains, key=lambda x: domains[x].bit_count())
+        candidates = domains[v]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
             self.nodes += 1
             if self.nodes > self.budget:
                 raise _Budget
-            if cand in used:
-                continue
-            assign[v] = cand
-            if self._consistent(assign, v):
-                res = self._solve(assign)
-                if res is not None:
-                    return res
-            del assign[v]
+            p = low.bit_length() - 1
+            rest = self.place(v, p, assign, domains)
+            if rest is not None:
+                assign[v] = p
+                if self.solve(assign, rest) is not None:
+                    return assign
+                del assign[v]
         return None
 
 
 def embed_search(config: Configuration, q: int, budget: int = 10 ** 9) -> EmbedResult:
     """Exhaustive (up to projectivity) search for a faithful embedding of the
-    configuration into PG(2, q)."""
-    return _PGSearch(config, q, int(budget)).run()
+    configuration into PG(2, q).
+
+    Four points, no three on a line, are fixed at (1,0,0), (0,1,0), (0,0,1)
+    and (1,1,1), and forward checking places them and the rest.  `nodes`
+    counts the placements tried; past `budget` of them the status is
+    "inconclusive".  A found embedding is re-checked with
+    verify_pg_embedding.  Raises IncidenceError unless every line has three
+    points and no two lines share two points."""
+    third = _third_points(config)
+    frame = next((quad for quad in combinations(range(len(config.points)), 4)
+                  if all(third[u][v] != w for u, v, w in combinations(quad, 3))),
+                 None)
+    if frame is None:
+        raise IncidenceError("no frame of four points in general position")
+    search = _Search(third, _plane(q), int(budget))
+    domains = dict.fromkeys(range(len(config.points)), (1 << len(search.points)) - 1)
+    # (1,0,0), (0,1,0), (0,0,1), (1,1,1) by their indices in pg2q_points(q)
+    for v, p in zip(frame, (q + 1, 1, 0, 2 * q + 2)):
+        domains[v] = 1 << p
+    try:
+        found = search.solve({}, domains)
+    except _Budget:
+        return EmbedResult("inconclusive", None, search.nodes)
+    if found is None:
+        return EmbedResult("none", None, search.nodes)
+    labeled = {config.points[v]: search.points[p] for v, p in found.items()}
+    ok, reason = verify_pg_embedding(config, labeled, q)
+    if not ok:
+        raise AssertionError(f"embed_search found an unfaithful embedding: {reason}")
+    return EmbedResult("found", labeled, search.nodes)
+
+
+def verify_pg_embedding(config: Configuration, assignment: dict, q: int):
+    """The GF(q) counterpart of verify_realization, which also checks that
+    every point is a non-zero vector over GF(q).  Returns (ok, reason)."""
+    f = galois_field(q)
+    add, mul, neg = f.add, f.mul, f.neg
+    pts = {}
+    for lab in config.points:
+        if lab not in assignment:
+            return False, f"missing coordinates for {lab}"
+        v = tuple(assignment[lab])
+        if len(v) != 3 or not all(type(x) is int and 0 <= x < q for x in v):
+            return False, f"{lab} is not a vector over GF({q})"
+        if not any(v):
+            return False, f"{lab} is the zero vector"
+        scale = f.inv(next(x for x in v if x))
+        pts[lab] = tuple(mul(scale, x) for x in v)
+
+    def collinear_q(u, v, w):
+        def minor(i, j):
+            return add(mul(v[i], w[j]), neg(mul(v[j], w[i])))
+        return add(add(mul(u[0], minor(1, 2)), mul(u[1], minor(2, 0))),
+                   mul(u[2], minor(0, 1))) == 0
+
+    return _faithful(config, pts, collinear_q)

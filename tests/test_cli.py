@@ -162,3 +162,34 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "perspectra" in proc.stdout
+
+
+@pytest.mark.parametrize("data", [
+    {"points": ["x", "y", "z"], "lines": [[0, 1, -1]]},
+    {"points": ["x", "y", "z"], "lines": [[0, 1, 5]]},
+    {"points": ["x", "y", "z"], "lines": [[0, 1, "2"]]},
+    {"lines": [[0, 1, 2]]},
+    [["x", "y", "z"], [[0, 1, 2]]],
+], ids=["negative-index", "index-out-of-range", "string-index",
+        "missing-points", "top-level-list"])
+def test_malformed_json_is_domain_error(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_search_pg_rejects_four_point_line(tmp_path, capsys):
+    bad = {"points": list("abcdefg"), "lines": [[0, 1, 2, 3], [0, 4, 5]]}
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps(bad))
+    assert run(["search-pg", str(path), "--q", "7"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unused_flags_are_gone(tmp_path):
+    path = _construct(tmp_path, "g.json", "--family", "gras", "--n", "4")
+    for flag in ("--seed", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", str(path), flag, "1"])
+        assert exc.value.code == 2

@@ -2,16 +2,21 @@
 PG(2,q) embedding search."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from perspectra.incidence import IncidenceError, a_point, b_point, center
-from perspectra.families import desargues, fez, perm_spec, skew_perspective
+from perspectra.incidence import (Configuration, IncidenceError, a_point,
+                                  b_point, center, free_point)
+from perspectra.families import (desargues, fez, kantor, perm_spec,
+                                 skew_perspective)
 from perspectra.realize import (EmbedResult, closure_check, collinear, cross,
                                 embed_search, fez_closure_witness,
                                 galois_field, line_through, meet, normalize,
                                 parametric_realization, pg2q_points,
-                                verify_realization)
+                                verify_pg_embedding, verify_realization)
+
+from pg_reference import reference_embed_search
 
 
 def test_rational_geometry_primitives():
@@ -150,3 +155,94 @@ def test_embed_search_budget_exhaustion():
     result = embed_search(desargues(), 5, budget=3)
     assert result.status == "inconclusive"
     assert result.nodes >= 3
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_extension_field_axioms(q):
+    f = galois_field(q)
+    for a, b, c in product(f.elements, repeat=3):
+        assert f.add(a, f.add(b, c)) == f.add(f.add(a, b), c)
+        assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+        assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+
+
+CONFIGS = {"c4": lambda: skew_perspective(perm_spec(4, "(1,2,3,4)")),
+           "(3,4)": lambda: skew_perspective(perm_spec(4, "(3,4)")),
+           "(1,2,3)": lambda: skew_perspective(perm_spec(4, "(1,2,3)")),
+           "Desargues": desargues, "fez": fez, "Kantor": kantor}
+
+# the statuses the suite and the benchmark rely on; each "none" is an
+# exhausted search
+STATUS_TABLE = (
+    [("c4", q, "none") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [("c4", 17, "found")]
+    + [(name, q, "none") for name in ("(3,4)", "(1,2,3)") for q in (2, 3, 4, 5, 7)]
+    + [("Desargues", q, "none") for q in (2, 3, 4)]
+    + [("Desargues", 5, "found"), ("fez", 5, "none"), ("fez", 7, "found"),
+       ("Kantor", 7, "found")])
+
+
+@pytest.mark.parametrize("name,q,status", STATUS_TABLE)
+def test_embed_search_status_table(name, q, status):
+    config = CONFIGS[name]()
+    result = embed_search(config, q)
+    assert result.status == status
+    if status == "found":
+        assert verify_pg_embedding(config, result.assignment, q) == (True, "faithful")
+
+
+def test_embed_search_agrees_with_reference_solver(census_report):
+    configs = [skew_perspective(e.representative) for e in census_report.entries]
+    configs += [desargues(), fez(), kantor()]
+    for q in (4, 5):
+        for config in configs:
+            assert (embed_search(config, q).status
+                    == reference_embed_search(config, q).status)
+    for q in (7, 8, 9):
+        for config in (desargues(), fez(), kantor()):
+            assert (embed_search(config, q).status
+                    == reference_embed_search(config, q).status)
+
+
+@pytest.mark.parametrize("config,q", [(desargues(), 5), (fez(), 7),
+                                      (desargues(), 9)])
+def test_verify_pg_embedding_accepts_found_and_rejects_tampered(config, q):
+    pts = embed_search(config, q).assignment
+    assert verify_pg_embedding(config, pts, q) == (True, "faithful")
+    f = galois_field(q)
+    scaled = {lab: tuple(f.mul(2, x) for x in v) for lab, v in pts.items()}
+    assert verify_pg_embedding(config, scaled, q)[0]
+
+    line = config.line_labels(config.lines[0])
+    cases = {
+        "missing": {lab: v for lab, v in pts.items() if lab != line[0]},
+        "zero vector": {**pts, line[0]: (0, 0, 0)},
+        "not a vector": {**pts, line[0]: (0, 1, q)},
+        "coincide": {**pts, line[0]: pts[line[1]]},
+    }
+    for reason, tampered in cases.items():
+        ok, why = verify_pg_embedding(config, tampered, q)
+        assert not ok and reason in why
+    # the same points against one line fewer, and against one line more
+    fewer = Configuration.build(config.points, [
+        config.line_labels(l) for l in config.lines[1:]])
+    ok, why = verify_pg_embedding(fewer, pts, q)
+    assert not ok and "spurious collinearity" in why
+    extra = next(t for t in combinations(config.points, 3)
+                 if not any(set(t) <= set(config.line_labels(l))
+                            for l in config.lines))
+    more = Configuration.build(config.points, [
+        *map(config.line_labels, config.lines), extra])
+    ok, why = verify_pg_embedding(more, pts, q)
+    assert not ok and "not collinear" in why
+
+
+def test_embed_search_rejects_lines_that_are_not_triples():
+    names = [free_point(x) for x in "abcdefg"]
+    four = Configuration.build(names, [names[:4], names[:1] + names[4:6]])
+    with pytest.raises(IncidenceError, match="does not have 3 points"):
+        embed_search(four, 7)
+    shared = Configuration.build(names, [names[:3], names[:2] + names[3:4]])
+    with pytest.raises(IncidenceError, match="two lines"):
+        embed_search(shared, 7)
