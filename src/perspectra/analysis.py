@@ -44,20 +44,30 @@ class FreeGraphReport:
     free_sets: tuple
 
 
+def _clique_levels(adj: list[set[int]]):
+    """Every clique, one list per size (0, 1, 2, ...) up to the largest, each
+    in lexicographic order.  A clique carries the bitmask of its common
+    neighbours above its last vertex, and grows only by those."""
+    later = [sum(1 << w for w in nbrs if w > v) for v, nbrs in enumerate(adj)]
+    level = [((), (1 << len(adj)) - 1)]
+    while level:
+        yield [clique for clique, _ in level]
+        level = [(clique + (w,), common & later[w])
+                 for clique, common in level for w in _bits(common)]
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def extend(current, candidates):
-        if len(current) == m:
-            out.append(tuple(current))
-            return
-        for idx, v in enumerate(candidates):
-            if len(current) + len(candidates) - idx < m:
-                break
-            extend(current + [v], [w for w in candidates[idx + 1:] if w in adj[v]])
-
-    extend([], list(range(len(adj))))
-    return out
+    for size, level in enumerate(_clique_levels(adj)):
+        if size == m:
+            return level
+    return []
 
 
 def free_complete_subgraphs(config: Configuration, m: int):

@@ -218,6 +218,14 @@ def verify(config: Configuration):
     return ConfigurationSignature(nu, r, b, kappa)
 
 
+def require_partial_linear(config: Configuration) -> None:
+    """Raise IncidenceError unless config is a partial linear space whose
+    lines all have one size; unequal point ranks are allowed."""
+    result = verify(config)
+    if isinstance(result, ViolationReport) and result.axiom != "not regular":
+        raise IncidenceError(f"input rejected: {result.axiom}")
+
+
 def join(config: Configuration, x: PointLabel, y: PointLabel):
     """The partial operation: the unique line through x and y, if any.
 
@@ -282,7 +290,10 @@ def from_json_dict(data: dict) -> Configuration:
             if type(i) is not int or not 0 <= i < len(labels):
                 raise IncidenceError(f"line {line!r}: no point with index {i!r}")
             lines[-1].append(labels[i])
-    return Configuration.build(labels, lines)
+    config = Configuration.build(labels, lines)
+    if len(config.lines) != len(lines):
+        raise IncidenceError("duplicate line")
+    return config
 
 
 def from_json(text: str) -> Configuration:

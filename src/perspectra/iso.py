@@ -2,22 +2,24 @@
 
 Canonical forms are computed by a refinement/individualization backtracking
 search over point orderings.  The refinement invariant iterates (current
-color, multiset of co-line color profiles) to a fixed point, seeded with the
-count of maximal free cliques through each point.  Discovered automorphisms
-prune the search via path-stabilizer orbits, so highly symmetric inputs stay
-cheap; equality of canonical line lists is equivalent to isomorphism.
+color, multiset of ranks of the point's lines) to a fixed point, seeded with
+the count of maximal free cliques through each point.  Discovered
+automorphisms prune the search via path-stabilizer orbits, so highly
+symmetric inputs stay cheap; equality of canonical line lists is equivalent
+to isomorphism.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
-from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        ViolationReport, verify)
+from .incidence import (Configuration, IncidenceError, adjacency_indices,
+                        require_partial_linear)
 from .perms import all_permutations, induced_pair_map, kappa_composed
 from .families import SkewPerspectiveSpec, apply_pair_map_to_axis, skew_perspective
-from . import analysis
+from .analysis import _clique_levels, is_freely_contained
 
 
 @dataclass(frozen=True)
@@ -26,35 +28,19 @@ class CanonicalForm:
     lines: tuple[tuple[int, ...], ...]
     cert: str
     aut_order: int
-
-
-def _check_partial_linear(config: Configuration):
-    result = verify(config)
-    if isinstance(result, ViolationReport) and result.axiom != "not regular":
-        raise IncidenceError(f"rejected input: {result.axiom}")
+    # work done: nodes, leaves, refine_rounds, generators, elapsed_s
+    stats: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _initial_colors(config: Configuration) -> list[int]:
     """Isomorphism-invariant seed: rank plus free-clique membership counts at
     the collinearity graph's maximum clique size."""
-    from .incidence import adjacency_indices
-    from .analysis import _cliques_of_size, is_freely_contained
-
     n = len(config.points)
-    adj = adjacency_indices(config)
-    m = 2
-    cliques = []
-    while True:
-        nxt = _cliques_of_size(adj, m + 1)
-        if not nxt:
-            break
-        m += 1
-        cliques = nxt
+    *_, top = _clique_levels(adjacency_indices(config))
     counts = [0] * n
-    if m >= 3:
-        for cl in cliques:
-            labs = tuple(config.points[i] for i in cl)
-            if is_freely_contained(config, labs):
+    if len(top[0]) >= 3:
+        for cl in top:
+            if is_freely_contained(config, [config.points[i] for i in cl]):
                 for i in cl:
                     counts[i] += 1
     ranks = config.ranks()
@@ -63,35 +49,42 @@ def _initial_colors(config: Configuration) -> list[int]:
     return [lut[(ranks[i], counts[i])] for i in range(n)]
 
 
-def _refine(colors, lines_of_point):
-    n = len(colors)
-    while True:
-        sigs = []
-        for v in range(n):
-            prof = sorted(
-                tuple(sorted(colors[u] for u in line if u != v))
-                for line in lines_of_point[v])
-            sigs.append((colors[v], tuple(prof)))
-        lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [lut[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
-
-
 class _CanonSearch:
     def __init__(self, n, lines):
         self.n = n
         self.lines = lines
         self.lines_of_point = [[] for _ in range(n)]
-        for line in lines:
+        for index, line in enumerate(lines):
             for v in line:
-                self.lines_of_point[v].append(line)
+                self.lines_of_point[v].append(index)
         self.best_lines = None
         self.best_perm = None
         self.best_inv = None
         self.gens = []
         self.group = {tuple(range(n))}
+        self.nodes = self.leaves = self.rounds = 0
+
+    def refine(self, colors):
+        """Split cells by (color, sorted ranks of the point's lines) until a
+        round splits nothing or every cell is a singleton.  A line ranks by
+        the sorted colors of all its points: every line has the same size
+        and a point's own color sits on each of its lines, so this orders the
+        points exactly as the colors of their co-line points would."""
+        n, lines, lines_of_point = self.n, self.lines, self.lines_of_point
+        cells = len(set(colors))
+        while True:
+            self.rounds += 1
+            color = colors.__getitem__
+            keys = [tuple(sorted(map(color, line))) for line in lines]
+            rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+            line_rank = [rank[k] for k in keys].__getitem__
+            sigs = [(colors[v], tuple(sorted(map(line_rank, lines_of_point[v]))))
+                    for v in range(n)]
+            lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            colors = [lut[s] for s in sigs]
+            if len(lut) == cells or len(lut) == n:
+                return colors
+            cells = len(lut)
 
     def _add_generator(self, g):
         if g in self.group:
@@ -110,6 +103,7 @@ class _CanonSearch:
         self.group = group
 
     def _leaf(self, colors):
+        self.leaves += 1
         perm = tuple(colors)
         canon = tuple(sorted(tuple(sorted(perm[u] for u in line))
                              for line in self.lines))
@@ -125,6 +119,7 @@ class _CanonSearch:
             self._add_generator(g)
 
     def run(self, colors, path):
+        self.nodes += 1
         cells = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
@@ -156,27 +151,28 @@ class _CanonSearch:
             done |= orbit
             new = [2 * c for c in colors]
             new[v] -= 1
-            self.run(_refine(new, self.lines_of_point), path + [v])
+            self.run(self.refine(new), path + [v])
 
 
 _canon_cache: dict = {}
 
 
 def canonical_form(config: Configuration) -> CanonicalForm:
-    _check_partial_linear(config)
+    require_partial_linear(config)
     key = (len(config.points), config.lines)
     hit = _canon_cache.get(key)
     if hit is not None:
         return hit
+    start = time.perf_counter()
     n = len(config.points)
     search = _CanonSearch(n, config.lines)
-    colors = _refine(_initial_colors(config), search.lines_of_point)
-    search.run(colors, [])
-    if search.best_lines is None:          # no points or no branching at all
-        search._leaf(list(range(n)) if n else [])
+    search.run(search.refine(_initial_colors(config)), [])
     cert = hashlib.sha256(repr((n, search.best_lines)).encode()).hexdigest()
+    stats = {"nodes": search.nodes, "leaves": search.leaves,
+             "refine_rounds": search.rounds, "generators": len(search.gens),
+             "elapsed_s": time.perf_counter() - start}
     form = CanonicalForm(search.best_perm, search.best_lines, cert,
-                         len(search.group))
+                         len(search.group), stats)
     _canon_cache[key] = form
     return form
 

@@ -357,17 +357,24 @@ def pg2q_points(q: int):
 def _plane(q: int):
     """PG(2, q) as tables: pg2q_points(q), each line's bitmask of point
     indices, and join[P * size + Q], the line through points P != Q (2 size^2
-    bytes).  Line L has the coordinates of point L; P is on L when P.L = 0."""
+    bytes).  Line L has the coordinates (a, b, c) of point L and holds the
+    points with ax + by + cz = 0; (1, y, z) has index 1 + q + qy + z."""
     f = galois_field(q)
-    add, mul = f._add, f._mul
+    add, mul, neg, inv = f._add, f._mul, f._neg, f._inv
     points = pg2q_points(q)
     size = len(points)
     join = array("H", [0]) * (size * size)
     line_mask = []
     for index, (a, b, c) in enumerate(points):
-        ma, mb, mc = mul[a], mul[b], mul[c]
-        on = [i for i, (x, y, z) in enumerate(points)
-              if add[add[ma[x]][mb[y]]][mc[z]] == 0]
+        if c:       # (0, 1, -b/c) and, for each y, (1, y, -(a + by)/c)
+            s = mul[neg[inv[c]]]
+            on = [1 + s[b]] + [1 + q + q * y + s[add[a][mul[b][y]]]
+                               for y in range(q)]
+        else:       # (0, 0, 1), (0, 1, z) if b = 0, (1, y, z) if a + by = 0
+            on = [0] + (list(range(1, 1 + q)) if b == 0 else [])
+            for y in range(q):
+                if add[a][mul[b][y]] == 0:
+                    on += range(1 + q + q * y, 1 + 2 * q + q * y)
         line_mask.append(sum(1 << i for i in on))
         for i in on:
             for j in on:

@@ -1,5 +1,6 @@
 """Classification censuses and the identify lookup."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
 from perspectra.families import (desargues, fez, grassmannian, kantor,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective)
+from perspectra.iso import canonical_form
 from perspectra.perms import partitions
 
 
@@ -122,3 +124,21 @@ def test_identify_rejects_wrong_signature():
 def test_identify_reflects_membership(census_report):
     entry = identify(skew_perspective(perm_spec(4, "(1,2,3,4)")))
     assert entry is not None and entry.family == "perm"
+
+
+def test_canonical_output_is_pinned(census_report):
+    # certificates may change only with a schema version bump
+    assert SCHEMA_VERSION == "1"
+    assert hashlib.sha256(census_report.to_json().encode()).hexdigest() == \
+        "1c488821868c90938ac68a07856e50cd2a37fa388816b7380bfb572d47e5705b"
+    pinned = [
+        (desargues(), "ce33c1d30027b16a4239e944dc1932e8ad1c1481af879eab109c6d1034964828"),
+        (fez(), "711ac8cc2eeed63f0acd990defdc070a15753170c1868e6e151be8e1db526bd1"),
+        (kantor(), "e78ac5880cdcb46b62d85ccf9afceec86ea18d71f5fef40136f4b149f91c1266"),
+        (grassmannian(4), "03bf227779e3e8f737cde2c9a4374f900a700dcb5f7a46a98f3a9d7944593cf3"),
+        (grassmannian(5), "ce33c1d30027b16a4239e944dc1932e8ad1c1481af879eab109c6d1034964828"),
+        (grassmannian(6), "2b8818a2f271a36065143f3605173cdfe7a9b741541235b15b6a034f268b3fba"),
+        (grassmannian(7), "746b91de71988363fa9ec3d1b68ce6415e0cc7dd05b6dd231777712329052ae7"),
+    ]
+    for config, cert in pinned:
+        assert canonical_form(config).cert == cert

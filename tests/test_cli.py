@@ -9,8 +9,9 @@ import pytest
 from perspectra import __version__
 from perspectra.census import SCHEMA_VERSION
 from perspectra.cli import run, spec_from_config
-from perspectra.incidence import from_json, to_json, verify
-from perspectra.families import perm_spec, skew_perspective
+from perspectra.incidence import (Configuration, from_json, to_json,
+                                  to_json_dict, verify)
+from perspectra.families import desargues, perm_spec, skew_perspective
 
 
 def _construct(tmp_path, name, *argv):
@@ -193,3 +194,33 @@ def test_unused_flags_are_gone(tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["verify", str(path), flag, "1"])
         assert exc.value.code == 2
+
+
+def _desargues_less_one_line():
+    d = desargues()
+    return Configuration.build(d.points,
+                               [d.line_labels(l) for l in d.lines[:-1]])
+
+
+def test_non_regular_input_is_accepted(tmp_path, capsys):
+    path = tmp_path / "d9.json"
+    path.write_text(to_json(_desargues_less_one_line()))
+    assert run(["search-pg", str(path), "--q", "5", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "none"
+    assert run(["aut", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"automorphisms": 12}
+
+
+@pytest.mark.parametrize("command", ["search-pg", "aut"])
+@pytest.mark.parametrize("fault", ["duplicate line", "not partially linear"])
+def test_non_partial_linear_input_is_rejected(tmp_path, capsys, fault, command):
+    data = to_json_dict(_desargues_less_one_line())
+    first = data["lines"][0]
+    off = next(i for i in range(len(data["points"])) if i not in first)
+    data["lines"].append(first[::-1] if fault == "duplicate line"
+                         else first[:2] + [off])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + (["--q", "5"] if command == "search-pg" else [])
+    assert run(argv) == 1
+    assert fault in capsys.readouterr().err

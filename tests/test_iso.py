@@ -1,6 +1,8 @@
 """Canonical forms, the generic isomorphism engine, and the two
 criterion-based tests for the skew families."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,14 +42,32 @@ def test_automorphism_count_desargues():
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.permutations(list(range(10))))
-def test_canonical_cert_is_relabeling_invariant(perm):
-    base = fez()
-    relabeled = _relabel(base, perm)
-    assert canonical_form(relabeled).cert == canonical_form(base).cert
-    witness = are_isomorphic(base, relabeled)
-    assert witness is not None
-    assert is_isomorphism(base, relabeled, witness)
+@given(data=st.data())
+def test_canonical_cert_is_relabeling_invariant(census_report, data):
+    entry = data.draw(st.sampled_from(census_report.entries))
+    for base in (fez(), skew_perspective(entry.representative)):
+        relabeled = _relabel(base, data.draw(st.permutations(range(len(base.points)))))
+        form, moved = canonical_form(base), canonical_form(relabeled)
+        assert (moved.cert, moved.aut_order) == (form.cert, form.aut_order)
+        witness = are_isomorphic(base, relabeled)
+        assert witness is not None
+        assert is_isomorphism(base, relabeled, witness)
+
+
+@pytest.mark.parametrize("config", [desargues(), grassmannian(6)],
+                         ids=["desargues", "G6"])
+def test_canonical_form_stats(config):
+    form = canonical_form(config)
+    stats = form.stats
+    assert set(stats) == {"nodes", "leaves", "refine_rounds", "generators",
+                          "elapsed_s"}
+    # one refinement per node and at least one round each; every generator
+    # at least doubles the group found so far
+    assert 1 <= stats["leaves"] <= stats["nodes"] <= stats["refine_rounds"]
+    assert 1 <= 2 ** stats["generators"] <= form.aut_order
+    assert stats["elapsed_s"] > 0
+    # stats are not part of the form's identity
+    assert form == dataclasses.replace(form, stats={})
 
 
 def test_are_isomorphic_returns_checked_witness():

@@ -15,6 +15,7 @@ from perspectra.realize import (EmbedResult, closure_check, collinear, cross,
                                 galois_field, line_through, meet, normalize,
                                 parametric_realization, pg2q_points,
                                 verify_pg_embedding, verify_realization)
+from perspectra.realize import _plane
 
 from pg_reference import reference_embed_search
 
@@ -124,6 +125,26 @@ def test_pg2q_point_counts():
     for q in (2, 3, 4, 5):
         assert len(pg2q_points(q)) == q * q + q + 1
         assert len(set(pg2q_points(q))) == q * q + q + 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
+def test_plane_tables_match_brute_force(q):
+    # every point tested against every line, every pair against every line
+    f = galois_field(q)
+    points, line_mask, join = _plane(q)
+    assert points == pg2q_points(q)
+    size = len(points)
+
+    def on(line, point):
+        terms = [f.mul(a, x) for a, x in zip(line, point)]
+        return f.add(f.add(terms[0], terms[1]), terms[2]) == 0
+
+    members = [[i for i, p in enumerate(points) if on(line, p)]
+               for line in points]
+    assert line_mask == [sum(1 << i for i in m) for m in members]
+    for i, j in combinations(range(size), 2):
+        through = [k for k, m in enumerate(members) if i in m and j in m]
+        assert [join[i * size + j]] == [join[j * size + i]] == through
 
 
 def test_embed_search_desargues():
