@@ -19,7 +19,7 @@ from .analysis import (classify_pair_skew, free_complete_subgraphs, free_count,
                        is_freely_contained, reperspective,
                        third_graph_criterion)
 from .iso import (are_isomorphic, automorphism_count, canonical_form,
-                  criterion_iso_kappa, criterion_iso_perm, is_isomorphism)
+                  criterion_iso, is_isomorphism)
 from .census import (CensusEntry, census_kappa_n4, census_perm_n4,
                      classify_grasaxis, full_census, identify)
 from .realize import (Realization, closure_check, collinear, embed_search,

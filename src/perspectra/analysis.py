@@ -5,11 +5,10 @@ alternate centers and re-presentation of a configuration as a perspective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .incidence import (Configuration, IncidenceError, PointLabel, a_point,
-                        adjacency_indices, b_point, c_point, center,
-                        third_point)
+                        adjacency_indices, b_point, c_point, third_point)
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
@@ -20,7 +19,7 @@ def is_freely_contained(config: Configuration, vertices) -> bool:
     """Freeness from the definition: every edge lies on a line, the edge-to-
     line map is injective, and lines of disjoint edges share no point."""
     idxs = [config.index_of(v) for v in vertices]
-    joins = config._join_table()
+    joins = config._joins
     edge_lines = {}
     for x, y in combinations(sorted(idxs), 2):
         line = joins.get((x, y))
@@ -133,27 +132,6 @@ def classify_pair_skew(delta: PairPermutation, n: int | None = None) -> SkewClas
             if kappa_composed(phi).same_map(delta):
                 return SkewClass("complement", phi)
     return SkewClass("nonpreserving")
-
-
-def movecenter_condition(spec: SkewPerspectiveSpec, i0: int):
-    """Search for tau with c_{i0,tau(i)} + c_{i0,tau(j)} = c_{i,j} for all
-    pairs i,j != i0 (joins taken in the axis).  Returns tau or None."""
-    valid = [i for i, _ in third_graph_criterion(spec)]
-    if i0 not in valid:
-        raise IncidenceError("i0 not a valid alternate center")
-    others = [i for i in range(1, spec.n + 1) if i != i0]
-    axis = spec.axis
-    for images in permutations(others):
-        tau = dict(zip(others, images))
-        ok = True
-        for i, j in combinations(others, 2):
-            t = third_point(axis, c_point(i0, tau[i]), c_point(i0, tau[j]))
-            if t != c_point(i, j):
-                ok = False
-                break
-        if ok:
-            return tau
-    return None
 
 
 def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspectiveSpec:

@@ -8,10 +8,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        to_json_dict, verify)
-from .perms import (all_permutations, cycle_type, induced_pair_map,
-                    kappa_composed, partitions, representative_of_type)
+from .incidence import (Configuration, IncidenceError, require_signature,
+                        to_json_dict)
+from .perms import (Permutation, all_permutations, cycle_type,
+                    induced_pair_map, kappa_composed, parse_cycles, partitions)
 from .families import (SkewPerspectiveSpec, enumerate_veblen, fez, grassmannian,
                        kantor, multiveblen, path_graph, quasi_grassmannian,
                        skew_perspective)
@@ -59,116 +59,73 @@ def _entry_invariants(spec: SkewPerspectiveSpec, config: Configuration) -> dict:
     return inv
 
 
+def _labels(n: int) -> dict:
+    """Instance-verified class labels for the degree-n classes."""
+    named = [(grassmannian(n + 2), "generalized Desargues configuration")]
+    if n == 3:
+        named += [(fez(), "fez"), (kantor(), "Kantor")]
+    if n >= 4:
+        named.append((quasi_grassmannian(n), f"quasi-Grassmannian R{n}"))
+    if n == 4:
+        g4 = grassmannian(4)
+        named += [(multiveblen(4, path_graph(4), g4), "multiveblen (path graph)"),
+                  (multiveblen(4, set(), g4), "multiveblen (empty graph)")]
+    return {canonical_form(config).cert: label for config, label in named}
+
+
+def _classify(family: str, n: int, items) -> list[CensusEntry]:
+    """One entry per isomorphism class of the (member, spec) items, found by
+    the canonical cert of each spec's configuration.  A member is a sortable
+    (skew image, axis key) pair; each class is represented by its smallest
+    member, and the classes come in the order of those members."""
+    labels = _labels(n)
+    classes = {}
+    for member, spec in items:
+        config = skew_perspective(spec)
+        cert = canonical_form(config).cert
+        cls = classes.get(cert)
+        if cls is None:
+            classes[cert] = cls = [member, spec, config, []]
+        elif member < cls[0]:
+            cls[:3] = member, spec, config
+        cls[3].append(member)
+    return [CensusEntry(family, spec, cert, _entry_invariants(spec, config),
+                        labels.get(cert, "new type"), len(members),
+                        tuple((str(Permutation(image)), key)
+                              for image, key in sorted(members)))
+            for cert, (_, spec, config, members)
+            in sorted(classes.items(), key=lambda kv: kv[1][0])]
+
+
 def classify_grasaxis(n: int):
-    """One class per cycle type over the Grassmannian axis; completeness
-    verified by classifying every one of the n! skews generically."""
+    """One class per cycle type over the Grassmannian axis, found by
+    classifying every one of the n! skews generically."""
     if not 3 <= n <= 6:
         raise IncidenceError("supported for 3 <= n <= 6")
     axis = grassmannian(n)
-    _, total, parts = partitions(n)
-    entries = []
-    certs = {}
-    labels = _grasaxis_labels(n)
-    for pt in parts:
-        sigma = representative_of_type(pt, n)
-        spec = SkewPerspectiveSpec(n, induced_pair_map(sigma), axis)
-        config = skew_perspective(spec)
-        form = canonical_form(config)
-        if form.cert in certs:
-            raise AssertionError("distinct cycle types merged")
-        certs[form.cert] = (pt, spec)
-        entries.append(CensusEntry(
-            "grasaxis", spec, form.cert, _entry_invariants(spec, config),
-            labels.get(form.cert, "new type"), 0, ((str(sigma), "G"),)))
-    # completeness: every skew lands in one of the type classes
-    sizes = {cert: 0 for cert in certs}
-    members = {cert: [] for cert in certs}
-    for sigma in all_permutations(n):
-        spec = SkewPerspectiveSpec(n, induced_pair_map(sigma), axis)
-        form = canonical_form(skew_perspective(spec))
-        if form.cert not in certs:
-            raise AssertionError(f"skew {sigma} outside the type classes")
-        if cycle_type(sigma) != certs[form.cert][0]:
+    entries = _classify("grasaxis", n, (
+        ((sigma.image, "G"), SkewPerspectiveSpec(n, induced_pair_map(sigma), axis))
+        for sigma in all_permutations(n)))
+    # completeness: each class is one cycle type, and there are p(n) classes
+    for e in entries:
+        if len({cycle_type(parse_cycles(skew, n)) for skew, _ in e.members}) != 1:
             raise AssertionError("class does not match the cycle type")
-        sizes[form.cert] += 1
-        members[form.cert].append((str(sigma), "G"))
-    out = [CensusEntry(e.family, e.representative, e.canonical_hash,
-                       e.invariants, e.paper_label, sizes[e.canonical_hash],
-                       tuple(members[e.canonical_hash]))
-           for e in entries]
-    assert len(out) == total
-    return out
-
-
-def _grasaxis_labels(n: int) -> dict:
-    labels = {}
-    labels[canonical_form(grassmannian(n + 2)).cert] = \
-        "generalized Desargues configuration"
-    if n == 3:
-        labels[canonical_form(fez()).cert] = "fez"
-        labels[canonical_form(kantor()).cert] = "Kantor"
-    if n >= 4:
-        labels[canonical_form(quasi_grassmannian(n)).cert] = \
-            f"quasi-Grassmannian R{n}"
-    if n == 4:
-        labels[canonical_form(
-            multiveblen(4, path_graph(4), grassmannian(4))).cert] = \
-            "multiveblen (path graph)"
-    return labels
-
-
-def _cross_reference_labels() -> dict:
-    """Instance-verified class labels for the n=4 censuses."""
-    g4 = grassmannian(4)
-    labels = {}
-    labels[canonical_form(grassmannian(6)).cert] = \
-        "generalized Desargues configuration"
-    labels[canonical_form(quasi_grassmannian(4)).cert] = "quasi-Grassmannian R4"
-    labels[canonical_form(multiveblen(4, path_graph(4), g4)).cert] = \
-        "multiveblen (path graph)"
-    labels[canonical_form(multiveblen(4, set(), g4)).cert] = \
-        "multiveblen (empty graph)"
-    return labels
-
-
-def _census_family(family: str):
-    enum = enumerate_veblen()
-    labels = _cross_reference_labels()
-    classes = {}
-    for sigma in sorted(all_permutations(4), key=lambda p: p.image):
-        if family == "perm":
-            delta = induced_pair_map(sigma)
-        else:
-            delta = kappa_composed(sigma)
-        for li, axis in enumerate(enum.labelings):
-            spec = SkewPerspectiveSpec(4, delta, axis)
-            config = skew_perspective(spec)
-            form = canonical_form(config)
-            key = form.cert
-            member = (sigma.image, li)
-            if key not in classes:
-                classes[key] = {"spec": spec, "config": config,
-                                "members": [member], "min": member}
-            else:
-                classes[key]["members"].append(member)
-                if member < classes[key]["min"]:
-                    classes[key]["min"] = member
-                    classes[key]["spec"] = spec
-                    classes[key]["config"] = config
-    entries = []
-    for key, cls in sorted(classes.items(), key=lambda kv: kv[1]["min"]):
-        spec = cls["spec"]
-        members = tuple((str(spec_desc(img)), li)
-                        for img, li in sorted(cls["members"]))
-        entries.append(CensusEntry(
-            family, spec, key, _entry_invariants(spec, cls["config"]),
-            labels.get(key, "new type"), len(cls["members"]), members))
+    if len(entries) != partitions(n)[1]:
+        raise AssertionError("a cycle type spans several classes")
     return entries
 
 
-def spec_desc(image):
-    from .perms import Permutation
-    return Permutation(tuple(image))
+def _census_family(family: str):
+    lift = induced_pair_map if family == "perm" else kappa_composed
+    labelings = enumerate_veblen().labelings
+
+    def items():
+        for sigma in all_permutations(4):
+            delta = lift(sigma)
+            for li, axis in enumerate(labelings):
+                yield (sigma.image, li), SkewPerspectiveSpec(4, delta, axis)
+
+    return _classify(family, 4, items())
 
 
 def census_perm_n4():
@@ -236,9 +193,8 @@ _identify_index = None
 def identify(config: Configuration):
     """Canonical-hash lookup of a 15-point binomial configuration against the
     full n=4 census."""
-    sig = verify(config)
-    if not isinstance(sig, ConfigurationSignature) or sig.as_tuple() != (15, 4, 20, 3):
-        raise IncidenceError("not a 15-point binomial configuration")
+    require_signature(config, (15, 4, 20, 3),
+                      "not a 15-point binomial configuration")
     global _identify_index
     if _identify_index is None:
         report = full_census()

@@ -7,23 +7,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        export, from_json, require_partial_linear, to_json,
-                        verify)
-from .perms import pair_perm_from_dict, pairs_of, parse_cycles
+                        center, export, from_json, require_partial_linear,
+                        to_json, verify)
 from .families import (SkewPerspectiveSpec, grassmannian, kappa_spec,
                        multiveblen, path_graph, complete_graph, perm_spec,
                        quasi_grassmannian, skew_perspective, veblen_catalog,
                        veronesian, zeta)
 from .analysis import (classify_pair_skew, free_complete_subgraphs,
-                       third_graph_criterion)
+                       reperspective, third_graph_criterion)
 from .iso import are_isomorphic, automorphism_count
-from .census import (SCHEMA_VERSION, census_kappa_n4, census_perm_n4,
-                     full_census, identify)
+from .census import (SCHEMA_VERSION, CensusReport, census_kappa_n4,
+                     census_perm_n4, full_census, identify)
 from .realize import embed_search, parametric_realization, verify_realization
 
 
@@ -110,38 +110,20 @@ def _cmd_verify(args):
 
 
 def spec_from_config(config: Configuration) -> SkewPerspectiveSpec:
-    """Recover the (n, skew, axis) presentation from a labeled construction."""
-    from .incidence import a_point, b_point, center, c_point
-    a_idx = [lab.key[0] for lab in config.points if lab.kind == "a"]
-    if not a_idx or not config.has_point(center()):
+    """Recover the (n, skew, axis) presentation from a labeled construction:
+    the perspective from p between the a-side and the b-side."""
+    a_side = [lab for lab in config.points if lab.kind == "a"]
+    b_side = [lab for lab in config.points if lab.kind == "b"]
+    if not a_side or not config.has_point(center()):
         raise IncidenceError("input is not labeled as a skew perspective")
-    n = max(a_idx)
-    skew = {}
-    axis_lines = []
-    for line in config.lines:
-        labs = config.line_labels(line)
-        kinds = sorted(lab.kind for lab in labs)
-        if kinds == ["b", "b", "c"]:
-            bs = sorted(lab.key[0] for lab in labs if lab.kind == "b")
-            u = next(lab.key for lab in labs if lab.kind == "c")
-            skew[u] = tuple(bs)
-        elif kinds == ["c", "c", "c"]:
-            axis_lines.append(labs)
-    delta = pair_perm_from_dict(n, skew)
-    cls = classify_pair_skew(delta, n)
-    if cls.kind == "induced":
-        from .perms import induced_pair_map
-        delta = induced_pair_map(cls.phi)
-    elif cls.kind == "complement":
-        from .perms import kappa_composed
-        delta = kappa_composed(cls.phi)
-    axis = Configuration.build(
-        [c_point(i, j) for i, j in pairs_of(n)], axis_lines)
-    return SkewPerspectiveSpec(n, delta, axis)
+    return reperspective(config, center(), [center()] + a_side,
+                         [center()] + b_side)
 
 
 def _cmd_analyze(args):
     config = _load(args.input)
+    if args.free_k < 0:
+        raise IncidenceError(f"--free-k must not be negative, got {args.free_k}")
     out = {}
     if args.free_k:
         report = free_complete_subgraphs(config, args.free_k)
@@ -190,23 +172,16 @@ def _cmd_aut(args):
 
 def _cmd_census(args):
     if args.family == "perm":
-        entries = census_perm_n4()
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "entries": [e.as_json_dict() for e in entries],
-                   "findings": []}
+        report = CensusReport(tuple(census_perm_n4()), ())
     elif args.family == "kappa":
-        entries = census_kappa_n4()
-        payload = {"schema_version": SCHEMA_VERSION,
-                   "entries": [e.as_json_dict() for e in entries],
-                   "findings": []}
+        report = CensusReport(tuple(census_kappa_n4()), ())
     else:
-        payload = full_census().as_json_dict()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _emit(text, args.output)
+        report = full_census()
+    _emit(report.to_json(), args.output)
     if args.output:
         totals = {}
-        for e in payload["entries"]:
-            totals[e["family"]] = totals.get(e["family"], 0) + 1
+        for e in report.entries:
+            totals[e.family] = totals.get(e.family, 0) + 1
         print("classes per family:", totals)
     return 0
 
@@ -240,10 +215,17 @@ def _cmd_realize(args):
     return 0
 
 
+def _budget(text: str) -> int:
+    value = float(text)
+    if not (math.isfinite(value) and value == int(value) and value > 0):
+        raise IncidenceError(f"--budget must be a positive whole number, got {text!r}")
+    return int(value)
+
+
 def _cmd_search_pg(args):
     config = _load(args.input)
     require_partial_linear(config)
-    result = embed_search(config, args.q, int(float(args.budget)))
+    result = embed_search(config, args.q, _budget(args.budget))
     payload = {"status": result.status, "nodes": result.nodes}
     if result.assignment:
         payload["embedding"] = {str(k): list(v)

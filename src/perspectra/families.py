@@ -7,17 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
-from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        a_point, b_point, c_point, center, free_point, verify)
-from .perms import (PairPermutation, Permutation, identity, induced_pair_map,
-                    kappa, kappa_composed, pair_perm_from_dict, pairs_of,
-                    parse_cycles, star, top)
-
-
-def binom(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
+from .incidence import (Configuration, IncidenceError, a_point, b_point,
+                        c_point, center, free_point, require_signature)
+from .perms import (PairPermutation, Permutation, all_permutations,
+                    induced_pair_map, kappa, kappa_composed,
+                    pair_perm_from_dict, pairs_of, parse_cycles, star, top)
 
 
 def grassmannian(n: int) -> Configuration:
@@ -42,10 +38,9 @@ class SkewPerspectiveSpec:
         expected = {c_point(i, j) for i, j in pairs_of(self.n)}
         if set(self.axis.points) != expected:
             raise IncidenceError("axis not a binomial PSTS")
-        sig = verify(self.axis)
-        want = (binom(self.n, 2), self.n - 2, binom(self.n, 3), 3)
-        if not isinstance(sig, ConfigurationSignature) or sig.as_tuple() != want:
-            raise IncidenceError("axis not a binomial PSTS")
+        require_signature(self.axis, (comb(self.n, 2), self.n - 2,
+                                      comb(self.n, 3), 3),
+                          "axis not a binomial PSTS")
 
     def describe_skew(self) -> str:
         if self.delta.tag == "induced":
@@ -72,29 +67,31 @@ def kappa_spec(phi, axis: Configuration | None = None) -> SkewPerspectiveSpec:
     return SkewPerspectiveSpec(4, kappa_composed(phi), axis)
 
 
-def skew_perspective(spec: SkewPerspectiveSpec) -> Configuration:
-    """Join two complete graphs through a center with edge-correspondence
-    delta and the given axis on the c-points."""
-    n = spec.n
-    dinv = spec.delta.inverse()
+def _perspective(n: int, side_lines, axis: Configuration, what: str) -> Configuration:
+    """The center p joined to a_i and b_i, the given a/b-side lines, and the
+    axis lines on the c-points; verified to be a binomial configuration."""
     points = [center()]
     points += [a_point(i) for i in range(1, n + 1)]
     points += [b_point(i) for i in range(1, n + 1)]
     points += [c_point(i, j) for i, j in pairs_of(n)]
-    lines = []
-    for i in range(1, n + 1):
-        lines.append((center(), a_point(i), b_point(i)))
-    for i, j in pairs_of(n):
-        lines.append((a_point(i), a_point(j), c_point(i, j)))
-        lines.append((b_point(i), b_point(j), c_point(*dinv((i, j)))))
-    for line in spec.axis.lines:
-        lines.append(spec.axis.line_labels(line))
+    lines = [(center(), a_point(i), b_point(i)) for i in range(1, n + 1)]
+    lines += side_lines
+    lines += [axis.line_labels(line) for line in axis.lines]
     config = Configuration.build(points, lines)
-    sig = verify(config)
-    want = (binom(n + 2, 2), n, binom(n + 2, 3), 3)
-    if not isinstance(sig, ConfigurationSignature) or sig.as_tuple() != want:
-        raise IncidenceError(f"construction failed verification: {sig}")
+    require_signature(config, (comb(n + 2, 2), n, comb(n + 2, 3), 3),
+                      f"{what} failed verification")
     return config
+
+
+def skew_perspective(spec: SkewPerspectiveSpec) -> Configuration:
+    """Join two complete graphs through a center with edge-correspondence
+    delta and the given axis on the c-points."""
+    dinv = spec.delta.inverse()
+    side_lines = []
+    for i, j in pairs_of(spec.n):
+        side_lines.append((a_point(i), a_point(j), c_point(i, j)))
+        side_lines.append((b_point(i), b_point(j), c_point(*dinv((i, j)))))
+    return _perspective(spec.n, side_lines, spec.axis, "construction")
 
 
 def zeta() -> PairPermutation:
@@ -111,12 +108,6 @@ def zeta() -> PairPermutation:
 
 # ---------------------------------------------------------------------------
 # Veblen labelings on the 2-subsets of {1,2,3,4}
-
-@dataclass(frozen=True)
-class VeblenLabeling:
-    config: Configuration
-    catalog_name: str | None = None
-
 
 def _axis_from_pair_lines(pair_lines) -> Configuration:
     points = [c_point(i, j) for i, j in pairs_of(4)]
@@ -183,7 +174,6 @@ class VeblenEnumeration:
 
 
 def enumerate_veblen() -> VeblenEnumeration:
-    from .perms import all_permutations
     labelings = all_veblen_labelings()
     key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
     maps = [induced_pair_map(phi) for phi in all_permutations(4)]
@@ -226,8 +216,8 @@ def veblen_catalog() -> dict:
     v6 = apply_pair_map_to_axis(kappa(), v5)
     cat = {"G": g, "G*": g_star, "W2": w2, "V4": v4, "V5": v5, "V6": v6}
     for name, axis in cat.items():
-        sig = verify(axis)
-        assert isinstance(sig, ConfigurationSignature) and sig.as_tuple() == (6, 2, 4, 3)
+        require_signature(axis, (6, 2, 4, 3),
+                          f"labeling {name} is not a Veblen configuration")
     return cat
 
 
@@ -247,31 +237,22 @@ def multiveblen(n: int, edges, axis: Configuration) -> Configuration:
     """The graph-controlled variant: for {i,j} in the graph, c_{ij} joins the
     two same-side pairs; otherwise the two mixed pairs."""
     edges = {tuple(sorted(e)) for e in edges}
-    expected = {c_point(i, j) for i, j in pairs_of(n)}
+    pairs = pairs_of(n)
+    bad = edges - set(pairs)
+    if bad:
+        raise IncidenceError(f"graph edges {sorted(bad)} are not 2-subsets of 1..{n}")
+    expected = {c_point(i, j) for i, j in pairs}
     if set(axis.points) != expected:
         raise IncidenceError("axis mismatch")
-    lines = []
-    for i in range(1, n + 1):
-        lines.append((center(), a_point(i), b_point(i)))
-    for i, j in pairs_of(n):
+    side_lines = []
+    for i, j in pairs:
         if (i, j) in edges:
-            lines.append((a_point(i), a_point(j), c_point(i, j)))
-            lines.append((b_point(i), b_point(j), c_point(i, j)))
+            side_lines.append((a_point(i), a_point(j), c_point(i, j)))
+            side_lines.append((b_point(i), b_point(j), c_point(i, j)))
         else:
-            lines.append((a_point(i), b_point(j), c_point(i, j)))
-            lines.append((b_point(i), a_point(j), c_point(i, j)))
-    for line in axis.lines:
-        lines.append(axis.line_labels(line))
-    points = [center()]
-    points += [a_point(i) for i in range(1, n + 1)]
-    points += [b_point(i) for i in range(1, n + 1)]
-    points += [c_point(i, j) for i, j in pairs_of(n)]
-    config = Configuration.build(points, lines)
-    sig = verify(config)
-    want = (binom(n + 2, 2), n, binom(n + 2, 3), 3)
-    if not isinstance(sig, ConfigurationSignature) or sig.as_tuple() != want:
-        raise IncidenceError(f"multiveblen failed verification: {sig}")
-    return config
+            side_lines.append((a_point(i), b_point(j), c_point(i, j)))
+            side_lines.append((b_point(i), a_point(j), c_point(i, j)))
+    return _perspective(n, side_lines, axis, "multiveblen")
 
 
 def complete_graph(n: int):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 
@@ -119,10 +120,6 @@ class Configuration:
     points: tuple[PointLabel, ...]
     lines: tuple[tuple[int, ...], ...]
 
-    # lazy caches, not part of equality
-    _index: dict = field(default=None, compare=False, repr=False)
-    _joins: dict = field(default=None, compare=False, repr=False)
-
     @staticmethod
     def build(points, line_label_sets) -> "Configuration":
         """Normalize arbitrary point/line collections into canonical storage."""
@@ -136,31 +133,31 @@ class Configuration:
             lines.add(idxs)
         return Configuration(pts, tuple(sorted(lines)))
 
+    # lazy caches, outside the dataclass fields and so outside equality
+    @cached_property
+    def _index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.points)}
+
+    @cached_property
+    def _joins(self) -> dict:
+        joins = {}
+        for line in self.lines:
+            for x, y in combinations(line, 2):
+                joins[(x, y)] = line
+                joins[(y, x)] = line
+        return joins
+
     def index_of(self, label: PointLabel) -> int:
-        if self._index is None:
-            object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.points)})
         try:
             return self._index[label]
         except KeyError:
             raise IncidenceError(f"no such point {label}")
 
     def has_point(self, label: PointLabel) -> bool:
-        if self._index is None:
-            object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.points)})
         return label in self._index
 
     def line_labels(self, line: tuple[int, ...]) -> tuple[PointLabel, ...]:
         return tuple(self.points[i] for i in line)
-
-    def _join_table(self):
-        if self._joins is None:
-            joins = {}
-            for line in self.lines:
-                for x, y in combinations(line, 2):
-                    joins[(x, y)] = line
-                    joins[(y, x)] = line
-            object.__setattr__(self, "_joins", joins)
-        return self._joins
 
     def ranks(self) -> list[int]:
         counts = [0] * len(self.points)
@@ -226,6 +223,14 @@ def require_partial_linear(config: Configuration) -> None:
         raise IncidenceError(f"input rejected: {result.axiom}")
 
 
+def require_signature(config: Configuration, want: tuple, message: str) -> None:
+    """Raise IncidenceError(message) unless config is a regular configuration
+    whose signature (nu, r, b, kappa) is want."""
+    sig = verify(config)
+    if not isinstance(sig, ConfigurationSignature) or sig.as_tuple() != want:
+        raise IncidenceError(message)
+
+
 def join(config: Configuration, x: PointLabel, y: PointLabel):
     """The partial operation: the unique line through x and y, if any.
 
@@ -235,7 +240,7 @@ def join(config: Configuration, x: PointLabel, y: PointLabel):
     yi = config.index_of(y)
     if xi == yi:
         return (x,)
-    line = config._join_table().get((xi, yi))
+    line = config._joins.get((xi, yi))
     if line is None:
         return None
     return config.line_labels(line)

@@ -15,10 +15,12 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .incidence import (Configuration, IncidenceError, adjacency_indices,
+from .incidence import (Configuration, IncidenceError, a_point,
+                        adjacency_indices, b_point, c_point, center,
                         require_partial_linear)
-from .perms import all_permutations, induced_pair_map, kappa_composed
-from .families import SkewPerspectiveSpec, apply_pair_map_to_axis, skew_perspective
+from .perms import all_permutations, induced_pair_map, kappa_composed, pairs_of
+from .families import (SkewPerspectiveSpec, _line_pair_sets,
+                       apply_pair_map_to_axis, skew_perspective)
 from .analysis import _clique_levels, is_freely_contained
 
 
@@ -154,14 +156,20 @@ class _CanonSearch:
             self.run(self.refine(new), path + [v])
 
 
+# Forms keyed by (point count, lines), least recently used evicted first: a
+# dict keeps insertion order, so a hit is re-inserted at the end and the first
+# key is the oldest.  The size holds the n=4 census (1442 forms) plus one
+# relabelled pass over its 1440 instances.
+_CANON_CACHE_SIZE = 4096
 _canon_cache: dict = {}
 
 
 def canonical_form(config: Configuration) -> CanonicalForm:
     require_partial_linear(config)
     key = (len(config.points), config.lines)
-    hit = _canon_cache.get(key)
+    hit = _canon_cache.pop(key, None)
     if hit is not None:
+        _canon_cache[key] = hit
         return hit
     start = time.perf_counter()
     n = len(config.points)
@@ -174,6 +182,8 @@ def canonical_form(config: Configuration) -> CanonicalForm:
     form = CanonicalForm(search.best_perm, search.best_lines, cert,
                          len(search.group), stats)
     _canon_cache[key] = form
+    if len(_canon_cache) > _CANON_CACHE_SIZE:
+        del _canon_cache[next(iter(_canon_cache))]
     return form
 
 
@@ -214,80 +224,46 @@ def are_isomorphic(c1: Configuration, c2: Configuration):
 # ---------------------------------------------------------------------------
 # criterion-based isomorphism for the two skew families
 
-def _axis_lines_equal(a1, a2) -> bool:
-    from .families import _line_pair_sets
-    return _line_pair_sets(a1) == _line_pair_sets(a2)
+_LIFTS = {"induced": induced_pair_map, "kappa": kappa_composed}
 
 
-def _build_map(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec,
-               phi, swap_ab: bool, c_map):
-    from .incidence import a_point, b_point, c_point, center
-    from .perms import pairs_of
+def _build_map(n: int, phi, swap_ab: bool, c_map):
+    to_a, to_b = (b_point, a_point) if swap_ab else (a_point, b_point)
     m = {center(): center()}
-    for i in range(1, spec1.n + 1):
-        if swap_ab:
-            m[a_point(i)] = b_point(phi(i))
-            m[b_point(i)] = a_point(phi(i))
-        else:
-            m[a_point(i)] = a_point(phi(i))
-            m[b_point(i)] = b_point(phi(i))
-    for u in pairs_of(spec1.n):
+    for i in range(1, n + 1):
+        m[a_point(i)] = to_a(phi(i))
+        m[b_point(i)] = to_b(phi(i))
+    for u in pairs_of(n):
         m[c_point(*u)] = c_point(*c_map(u))
     return m
 
 
-def criterion_iso_perm(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
-    """Center-fixing isomorphism search for permutation skews: a conjugating
-    phi aligning the skews (directly, or inverted with the sides swapped)
-    whose pair action carries axis1 onto axis2."""
-    if spec1.delta.tag != "induced" or spec2.delta.tag != "induced":
-        raise IncidenceError("criterion requires permutation skews")
+def criterion_iso(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
+    """Center-fixing isomorphism search for two skews of one family, both
+    permutation ("induced") or both complement-composed ("kappa"): a
+    conjugating phi aligning the skews (directly, or inverted with the sides
+    swapped) whose pair action carries axis1 onto axis2."""
+    tag = spec1.delta.tag
+    if tag not in _LIFTS or spec2.delta.tag != tag:
+        raise IncidenceError("criterion requires two permutation skews or "
+                             "two kappa-composed skews")
     if spec1.n != spec2.n:
         return None
+    lift = _LIFTS[tag]
     s1, s2 = spec1.delta.phi, spec2.delta.phi
+    s2_inv = s2.inverse()
+    target = _line_pair_sets(spec2.axis)
     for phi in all_permutations(spec1.n):
         pbar = induced_pair_map(phi)
-        if (phi.compose(s1) == s2.compose(phi)
-                and _axis_lines_equal(apply_pair_map_to_axis(pbar, spec1.axis),
-                                      spec2.axis)):
-            mapping = _build_map(spec1, spec2, phi, False, pbar)
-            _assert_criterion_map(spec1, spec2, mapping)
-            return mapping
-        g = induced_pair_map(s2.inverse()).compose(pbar)
-        if (phi.compose(s1) == s2.inverse().compose(phi)
-                and _axis_lines_equal(apply_pair_map_to_axis(g, spec1.axis),
-                                      spec2.axis)):
-            mapping = _build_map(spec1, spec2, phi, True, g)
-            _assert_criterion_map(spec1, spec2, mapping)
-            return mapping
+        conj = phi.compose(s1)
+        for swap_ab, other in ((False, s2), (True, s2_inv)):
+            if conj != other.compose(phi):
+                continue
+            g = lift(s2_inv).compose(pbar) if swap_ab else pbar
+            if _line_pair_sets(apply_pair_map_to_axis(g, spec1.axis)) == target:
+                mapping = _build_map(spec1.n, phi, swap_ab, g)
+                if not is_isomorphism(skew_perspective(spec1),
+                                      skew_perspective(spec2), mapping):
+                    raise AssertionError("criterion produced a non-isomorphism")
+                return mapping
     return None
-
-
-def criterion_iso_kappa(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
-    """Center-fixing isomorphism search for the complement-composed family."""
-    if spec1.delta.tag != "kappa" or spec2.delta.tag != "kappa":
-        raise IncidenceError("criterion requires kappa-composed skews")
-    p1, p2 = spec1.delta.phi, spec2.delta.phi
-    for alpha in all_permutations(4):
-        abar = induced_pair_map(alpha)
-        if (alpha.compose(p1) == p2.compose(alpha)
-                and _axis_lines_equal(apply_pair_map_to_axis(abar, spec1.axis),
-                                      spec2.axis)):
-            mapping = _build_map(spec1, spec2, alpha, False, abar)
-            _assert_criterion_map(spec1, spec2, mapping)
-            return mapping
-        g = kappa_composed(p2.inverse()).compose(abar)
-        if (alpha.compose(p1) == p2.inverse().compose(alpha)
-                and _axis_lines_equal(apply_pair_map_to_axis(g, spec1.axis),
-                                      spec2.axis)):
-            mapping = _build_map(spec1, spec2, alpha, True, g)
-            _assert_criterion_map(spec1, spec2, mapping)
-            return mapping
-    return None
-
-
-def _assert_criterion_map(spec1, spec2, mapping):
-    c1 = skew_perspective(spec1)
-    c2 = skew_perspective(spec2)
-    if not is_isomorphism(c1, c2, mapping):
-        raise AssertionError("criterion produced a non-isomorphism")

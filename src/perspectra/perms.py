@@ -103,27 +103,6 @@ def cycle_type(sigma: Permutation) -> tuple[int, ...]:
     return tuple(sorted(len(c) for c in sigma.cycles()))
 
 
-def are_conjugate(s1: Permutation, s2: Permutation):
-    """Return (True, witness alpha with s2 = alpha s1 alpha^-1) or (False, None)."""
-    if s1.n != s2.n:
-        raise ValueError("different degrees")
-    if cycle_type(s1) != cycle_type(s2):
-        return False, None
-    by_len1, by_len2 = {}, {}
-    for c in s1.cycles():
-        by_len1.setdefault(len(c), []).append(c)
-    for c in s2.cycles():
-        by_len2.setdefault(len(c), []).append(c)
-    img = [0] * s1.n
-    for length, cycs1 in by_len1.items():
-        for c1, c2 in zip(cycs1, by_len2[length]):
-            for a, b in zip(c1, c2):
-                img[a - 1] = b
-    alpha = Permutation(tuple(img))
-    assert alpha.compose(s1).compose(alpha.inverse()) == s2
-    return True, alpha
-
-
 # ---------------------------------------------------------------------------
 # pairs and pair permutations
 
@@ -212,7 +191,7 @@ def top(Y) -> frozenset[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# partitions and conjugacy representatives
+# partitions
 
 def partitions(n: int):
     """All integer partitions of n; returns (table P(n,k), total P(n), list)."""
@@ -231,87 +210,3 @@ def partitions(n: int):
     for pt in parts:
         table[len(pt)] = table.get(len(pt), 0) + 1
     return table, len(parts), parts
-
-
-def representative_of_type(ctype, n: int) -> Permutation:
-    """Lexicographically natural permutation with the given cycle type:
-    cycles laid out on consecutive integers, fixed points first."""
-    img = list(range(1, n + 1))
-    pos = 1
-    for length in sorted(ctype):
-        block = list(range(pos, pos + length))
-        for k, e in enumerate(block):
-            img[e - 1] = block[(k + 1) % length]
-        pos += length
-    return Permutation(tuple(img))
-
-
-def is_subgroup(H) -> bool:
-    elems = set(h.image for h in H)
-    if not elems:
-        return False
-    n = len(next(iter(elems)))
-    if tuple(range(1, n + 1)) not in elems:
-        return False
-    for g in H:
-        if g.inverse().image not in elems:
-            return False
-        for h in H:
-            if g.compose(h).image not in elems:
-                return False
-    return True
-
-
-def conjugacy_reps_under(H, n: int) -> list[Permutation]:
-    """Orbit representatives of S_n under conjugation by the subgroup H.
-
-    Deterministic: each orbit is represented by its lexicographically least
-    image tuple.
-    """
-    H = list(H)
-    if not is_subgroup(H):
-        raise ValueError("not a subgroup")
-    seen = set()
-    reps = []
-    for sigma in all_permutations(n):
-        if sigma.image in seen:
-            continue
-        orbit = set()
-        for alpha in H:
-            conj = alpha.compose(sigma).compose(alpha.inverse())
-            orbit.add(conj.image)
-        seen |= orbit
-        reps.append(Permutation(min(orbit)))
-    return sorted(reps, key=lambda p: p.image)
-
-
-# ---------------------------------------------------------------------------
-# automorphisms of labeled Veblen configurations (points = 2-subsets of I4)
-
-def _axis_line_pairs(axis_config) -> frozenset[frozenset[tuple[int, int]]]:
-    """Line set of an axis configuration as frozensets of index pairs."""
-    out = set()
-    for line in axis_config.lines:
-        labs = axis_config.line_labels(line)
-        out.add(frozenset(lab.key for lab in labs))
-    return frozenset(out)
-
-
-def _apply_pair_map_to_lines(pmap: PairPermutation, lines):
-    return frozenset(frozenset(pmap(u) for u in line) for line in lines)
-
-
-def aut_group(axis_config):
-    """Brute-force automorphisms of a labeled Veblen configuration.
-
-    Returns (induced_auts, kappa_auts): the phi in S_4 whose induced pair map
-    preserves the line set, and the phi whose kappa-composed map does.
-    """
-    lines = _axis_line_pairs(axis_config)
-    induced_auts, kappa_auts = [], []
-    for phi in all_permutations(4):
-        if _apply_pair_map_to_lines(induced_pair_map(phi), lines) == lines:
-            induced_auts.append(phi)
-        if _apply_pair_map_to_lines(kappa_composed(phi), lines) == lines:
-            kappa_auts.append(phi)
-    return induced_auts, kappa_auts

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center)
 from .perms import pairs_of
-from .families import SkewPerspectiveSpec, grassmannian, perm_spec, skew_perspective
+from .families import SkewPerspectiveSpec, perm_spec, skew_perspective
 
 
 # ---------------------------------------------------------------------------

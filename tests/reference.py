@@ -1,0 +1,128 @@
+"""Test-only reference helpers: brute-force permutation-group computations
+and the alternate-center condition.  They back claims the tests check; the
+library itself does not need them.
+"""
+
+from itertools import combinations, permutations
+
+from perspectra.analysis import third_graph_criterion
+from perspectra.families import SkewPerspectiveSpec, _line_pair_sets
+from perspectra.incidence import IncidenceError, c_point, third_point
+from perspectra.perms import (Permutation, all_permutations, cycle_type,
+                              induced_pair_map, kappa_composed)
+
+
+def are_conjugate(s1: Permutation, s2: Permutation):
+    """Return (True, witness alpha with s2 = alpha s1 alpha^-1) or (False, None)."""
+    if s1.n != s2.n:
+        raise ValueError("different degrees")
+    if cycle_type(s1) != cycle_type(s2):
+        return False, None
+    by_len1, by_len2 = {}, {}
+    for c in s1.cycles():
+        by_len1.setdefault(len(c), []).append(c)
+    for c in s2.cycles():
+        by_len2.setdefault(len(c), []).append(c)
+    img = [0] * s1.n
+    for length, cycs1 in by_len1.items():
+        for c1, c2 in zip(cycs1, by_len2[length]):
+            for a, b in zip(c1, c2):
+                img[a - 1] = b
+    alpha = Permutation(tuple(img))
+    assert alpha.compose(s1).compose(alpha.inverse()) == s2
+    return True, alpha
+
+
+
+
+def representative_of_type(ctype, n: int) -> Permutation:
+    """Lexicographically natural permutation with the given cycle type:
+    cycles laid out on consecutive integers, fixed points first."""
+    img = list(range(1, n + 1))
+    pos = 1
+    for length in sorted(ctype):
+        block = list(range(pos, pos + length))
+        for k, e in enumerate(block):
+            img[e - 1] = block[(k + 1) % length]
+        pos += length
+    return Permutation(tuple(img))
+
+
+def is_subgroup(H) -> bool:
+    elems = set(h.image for h in H)
+    if not elems:
+        return False
+    n = len(next(iter(elems)))
+    if tuple(range(1, n + 1)) not in elems:
+        return False
+    for g in H:
+        if g.inverse().image not in elems:
+            return False
+        for h in H:
+            if g.compose(h).image not in elems:
+                return False
+    return True
+
+
+def conjugacy_reps_under(H, n: int) -> list[Permutation]:
+    """Orbit representatives of S_n under conjugation by the subgroup H.
+
+    Deterministic: each orbit is represented by its lexicographically least
+    image tuple.
+    """
+    H = list(H)
+    if not is_subgroup(H):
+        raise ValueError("not a subgroup")
+    seen = set()
+    reps = []
+    for sigma in all_permutations(n):
+        if sigma.image in seen:
+            continue
+        orbit = set()
+        for alpha in H:
+            conj = alpha.compose(sigma).compose(alpha.inverse())
+            orbit.add(conj.image)
+        seen |= orbit
+        reps.append(Permutation(min(orbit)))
+    return sorted(reps, key=lambda p: p.image)
+
+
+def aut_group(axis_config):
+    """Brute-force automorphisms of a labeled Veblen configuration.
+
+    Returns (induced_auts, kappa_auts): the phi in S_4 whose induced pair map
+    preserves the line set, and the phi whose kappa-composed map does.
+    """
+    lines = _line_pair_sets(axis_config)
+
+    def preserved(pmap):
+        return frozenset(frozenset(pmap(u) for u in line) for line in lines) == lines
+
+    induced_auts, kappa_auts = [], []
+    for phi in all_permutations(4):
+        if preserved(induced_pair_map(phi)):
+            induced_auts.append(phi)
+        if preserved(kappa_composed(phi)):
+            kappa_auts.append(phi)
+    return induced_auts, kappa_auts
+
+
+def movecenter_condition(spec: SkewPerspectiveSpec, i0: int):
+    """Search for tau with c_{i0,tau(i)} + c_{i0,tau(j)} = c_{i,j} for all
+    pairs i,j != i0 (joins taken in the axis).  Returns tau or None."""
+    valid = [i for i, _ in third_graph_criterion(spec)]
+    if i0 not in valid:
+        raise IncidenceError("i0 not a valid alternate center")
+    others = [i for i in range(1, spec.n + 1) if i != i0]
+    axis = spec.axis
+    for images in permutations(others):
+        tau = dict(zip(others, images))
+        ok = True
+        for i, j in combinations(others, 2):
+            t = third_point(axis, c_point(i0, tau[i]), c_point(i0, tau[j]))
+            if t != c_point(i, j):
+                ok = False
+                break
+        if ok:
+            return tau
+    return None

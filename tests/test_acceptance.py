@@ -23,8 +23,7 @@ from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
 from perspectra.perms import (Permutation, all_permutations, cycle_type,
                               induced_pair_map, kappa_composed, pairs_of,
                               partitions)
-from perspectra.iso import (are_isomorphic, criterion_iso_kappa,
-                            criterion_iso_perm)
+from perspectra.iso import are_isomorphic, criterion_iso
 from perspectra.realize import (closure_check, embed_search,
                                 fez_closure_witness, parametric_realization,
                                 verify_realization)
@@ -248,10 +247,7 @@ def _conjugate_spec(rng, spec):
 def _agreement(spec1, spec2):
     c1, c2 = skew_perspective(spec1), skew_perspective(spec2)
     generic = are_isomorphic(c1, c2)
-    if spec1.delta.tag == "induced":
-        crit = criterion_iso_perm(spec1, spec2)
-    else:
-        crit = criterion_iso_kappa(spec1, spec2)
+    crit = criterion_iso(spec1, spec2)
     if crit is not None:
         assert generic is not None, "criterion found a map the engine rejects"
         return "agree"

@@ -5,13 +5,15 @@ import pytest
 from perspectra.incidence import IncidenceError, a_point, b_point, c_point, center
 from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  free_count, is_freely_contained,
-                                 movecenter_condition, preserves_intersection,
-                                 reperspective, third_graph_criterion)
+                                 preserves_intersection, reperspective,
+                                 third_graph_criterion)
 from perspectra.families import (grassmannian, kappa_spec, perm_spec,
                                  quasi_grassmannian, skew_perspective,
                                  veronesian, veronesian_two_letter_set, zeta)
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, pairs_of, star)
+
+from reference import movecenter_condition
 
 
 def test_free_containment_in_grassmannian():

@@ -142,3 +142,15 @@ def test_canonical_output_is_pinned(census_report):
     ]
     for config, cert in pinned:
         assert canonical_form(config).cert == cert
+
+
+@pytest.mark.parametrize("n, digest", [
+    (3, "92c78faa0bc46eba69f02c97d4e7a3cb1718c32532cd5d9ad92c2e1d6b157d85"),
+    (4, "55bcc4a3cfac84b7eff9d69f9be07a80b5361da3dd5e4458b37fcbf46a4f5d06"),
+    (5, "6d4a12d1f06f45fedb163deae3bc574b84b7fa0c6365e6579baf419823115fac"),
+])
+def test_classify_grasaxis_output_is_pinned(n, digest):
+    # class order, representatives, labels, invariants and members
+    text = json.dumps([e.as_json_dict() for e in classify_grasaxis(n)],
+                      indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

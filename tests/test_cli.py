@@ -1,17 +1,24 @@
 """Command line behavior: subcommands, output files, exit codes."""
 
+import ast
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import perspectra
 from perspectra import __version__
 from perspectra.census import SCHEMA_VERSION
+from perspectra.analysis import reperspective
 from perspectra.cli import run, spec_from_config
-from perspectra.incidence import (Configuration, from_json, to_json,
-                                  to_json_dict, verify)
-from perspectra.families import desargues, perm_spec, skew_perspective
+from perspectra.incidence import (Configuration, a_point, b_point, center,
+                                  from_json, to_json, to_json_dict, verify)
+from perspectra.families import (SkewPerspectiveSpec, desargues, kappa_spec,
+                                 perm_spec, skew_perspective, veblen_catalog,
+                                 zeta)
 
 
 def _construct(tmp_path, name, *argv):
@@ -139,6 +146,40 @@ def test_search_pg_command(tmp_path, capsys):
     assert data["status"] == "none"
 
 
+@pytest.mark.parametrize("budget", ["inf", "nan", "0", "-3", "2.5"])
+def test_search_pg_rejects_bad_budget(tmp_path, capsys, budget):
+    path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
+                      "--skew", "id")
+    assert run(["search-pg", str(path), "--q", "5", "--budget", budget]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("budget", ["1e9", "50"])
+def test_search_pg_accepts_whole_budgets(tmp_path, capsys, budget):
+    path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
+                      "--skew", "id")
+    assert run(["search-pg", str(path), "--q", "5", "--budget", budget,
+                "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] in ("found", "inconclusive")
+
+
+@pytest.mark.parametrize("graph", ["1-9", "1-1", "0-1"])
+def test_construct_mveb_rejects_bad_edges(tmp_path, capsys, graph):
+    out = tmp_path / "mv.json"
+    assert run(["construct", "--family", "mveb", "--n", "4", "--graph", graph,
+                "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_analyze_rejects_negative_free_k(tmp_path, capsys):
+    path = _construct(tmp_path, "c.json", "--family", "skew", "--n", "4")
+    assert run(["analyze", str(path), "--free-k", "-2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(["analyze", str(path), "--free-k", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {}
+
+
 def test_export_dot(tmp_path, capsys):
     path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
                       "--skew", "id")
@@ -158,11 +199,63 @@ def test_spec_from_config_roundtrip():
     assert back.axis.lines == spec.axis.lines
 
 
+_SPEC_CASES = (
+    [("census", i) for i in range(68)]
+    + [("zeta", name) for name in ("G", "G*", "W2", "V4", "V5", "V6")]
+    + [("perm", n, skew) for n, skew in ((3, "(1,2,3)"), (3, "(2,3)"),
+                                         (5, "(1,2)(3,4,5)"), (5, "id"),
+                                         (6, "(1,2,3,4,5,6)"))]
+    + [("kappa", skew, axis) for skew, axis in (("id", "G"), ("(1,2,3)", "W2"))])
+
+
+def _case_spec(case, census_report):
+    kind, *rest = case
+    if kind == "census":
+        assert len(census_report.entries) == 68
+        return census_report.entries[rest[0]].representative
+    if kind == "zeta":
+        return SkewPerspectiveSpec(4, zeta(), veblen_catalog()[rest[0]])
+    if kind == "perm":
+        return perm_spec(*rest)
+    return kappa_spec(rest[0], veblen_catalog()[rest[1]])
+
+
+@pytest.mark.parametrize("case", _SPEC_CASES,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_spec_from_config_matches_reperspective(census_report, case):
+    spec = _case_spec(case, census_report)
+    config = skew_perspective(spec)
+    back = spec_from_config(config)
+    sides = [[center()] + [side(i) for i in range(1, spec.n + 1)]
+             for side in (a_point, b_point)]
+    assert back == reperspective(config, center(), *sides)
+    assert back.delta.same_map(spec.delta)
+    if spec.delta.tag != "general":
+        assert (back.delta.tag, back.delta.phi) == (spec.delta.tag, spec.delta.phi)
+    assert back.axis == spec.axis
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "perspectra.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "perspectra" in proc.stdout
+
+
+def test_runtime_imports_only_the_standard_library():
+    # site hooks may load third-party modules before any perspectra import,
+    # so only the names the import adds are checked
+    code = ("import sys\n"
+            "before = {m.partition('.')[0] for m in sys.modules}\n"
+            "import perspectra, perspectra.cli\n"
+            "print(sorted({m.partition('.')[0] for m in sys.modules} - before))\n")
+    src = str(Path(perspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout)) - {"perspectra"}
+    assert added <= sys.stdlib_module_names, sorted(added - sys.stdlib_module_names)
 
 
 @pytest.mark.parametrize("data", [

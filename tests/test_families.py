@@ -115,6 +115,13 @@ def test_multiveblen_signature_all_graphs():
         assert verify(config).as_tuple() == (15, 4, 20, 3)
 
 
+@pytest.mark.parametrize("edges", [{(1, 9)}, {(1, 1)}, {(0, 1)}, {(1, 2, 3)}],
+                         ids=["out-of-range", "loop", "zero", "triple"])
+def test_multiveblen_rejects_edges_outside_the_pairs(edges):
+    with pytest.raises(IncidenceError):
+        multiveblen(4, edges | {(1, 2)}, grassmannian(4))
+
+
 def test_veronesian_small_cases():
     # V(3,2) is the Veblen configuration, V(3,3) has Kantor's parameters
     assert verify(veronesian(2)).as_tuple() == (6, 2, 4, 3)

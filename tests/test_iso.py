@@ -6,13 +6,13 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perspectra import iso
 from perspectra.incidence import Configuration, IncidenceError, free_point, verify
-from perspectra.families import (desargues, fez, grassmannian, kantor,
-                                 kappa_spec, perm_spec, skew_perspective,
-                                 veblen_catalog)
+from perspectra.families import (SkewPerspectiveSpec, desargues, fez,
+                                 grassmannian, kantor, kappa_spec, perm_spec,
+                                 skew_perspective, veblen_catalog, zeta)
 from perspectra.iso import (are_isomorphic, automorphism_count, canonical_form,
-                            criterion_iso_kappa, criterion_iso_perm,
-                            is_isomorphism)
+                            criterion_iso, is_isomorphism)
 from perspectra.perms import all_permutations
 
 
@@ -112,21 +112,45 @@ def test_criterion_iso_perm_agrees_on_conjugates():
         sigma2 = alpha.compose(spec1.delta.phi).compose(alpha.inverse())
         axis2 = apply_pair_map_to_axis(induced_pair_map(alpha), axis)
         spec2 = perm_spec(4, str(sigma2), axis2)
-        mapping = criterion_iso_perm(spec1, spec2)
+        mapping = criterion_iso(spec1, spec2)
         assert mapping is not None
 
 
 def test_criterion_iso_perm_none_on_distinct_types():
-    assert criterion_iso_perm(perm_spec(4, "id"), perm_spec(4, "(1,2)")) is None
+    assert criterion_iso(perm_spec(4, "id"), perm_spec(4, "(1,2)")) is None
     with pytest.raises(IncidenceError):
-        criterion_iso_perm(perm_spec(4, "id"), kappa_spec("id"))
+        criterion_iso(perm_spec(4, "id"), kappa_spec("id"))
 
 
 def test_criterion_iso_kappa_basic():
-    assert criterion_iso_kappa(kappa_spec("id"), kappa_spec("id")) is not None
-    assert criterion_iso_kappa(kappa_spec("id"), kappa_spec("(1,2,3,4)")) is None
+    assert criterion_iso(kappa_spec("id"), kappa_spec("id")) is not None
+    assert criterion_iso(kappa_spec("id"), kappa_spec("(1,2,3,4)")) is None
     with pytest.raises(IncidenceError):
-        criterion_iso_kappa(kappa_spec("id"), perm_spec(4, "id"))
+        criterion_iso(kappa_spec("id"), perm_spec(4, "id"))
+
+
+def test_criterion_iso_rejects_general_skews():
+    general = SkewPerspectiveSpec(4, zeta(), grassmannian(4))
+    for pair in ((general, general), (general, kappa_spec("(1,2)(3,4)")),
+                 (kappa_spec("(1,2)(3,4)"), general)):
+        with pytest.raises(IncidenceError):
+            criterion_iso(*pair)
+
+
+def test_canonical_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(iso, "_CANON_CACHE_SIZE", 3)
+    monkeypatch.setattr(iso, "_canon_cache", {})
+    configs = [desargues(), fez(), kantor(), grassmannian(4), grassmannian(6)]
+    keys = [(len(c.points), c.lines) for c in configs]
+    fresh = [dataclasses.replace(canonical_form(c), stats={}) for c in configs]
+    assert list(iso._canon_cache) == keys[2:]
+    canonical_form(configs[2])          # a hit becomes the most recent
+    canonical_form(configs[0])          # a miss evicts the least recent
+    assert list(iso._canon_cache) == [keys[4], keys[2], keys[0]]
+    # evicted forms are computed again, equal to the first ones
+    again = [dataclasses.replace(canonical_form(c), stats={}) for c in configs]
+    assert again == fresh
+    assert len(iso._canon_cache) == 3
 
 
 def test_criterion_matches_generic_on_catalog_axes():
@@ -137,7 +161,7 @@ def test_criterion_matches_generic_on_catalog_axes():
     for s1 in specs:
         for s2 in specs:
             generic = are_isomorphic(skew_perspective(s1), skew_perspective(s2))
-            crit = criterion_iso_perm(s1, s2)
+            crit = criterion_iso(s1, s2)
             if crit is not None:
                 assert generic is not None
             if generic is None:
