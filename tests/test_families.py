@@ -91,6 +91,14 @@ def test_veblen_orbit_structure():
     assert len({co["G"], co["W2"], co["V5"]}) == 3
 
 
+def test_veblen_orbits_are_pinned():
+    # indices into all_veblen_labelings(), in enumeration order
+    assert enumerate_veblen().orbits == (
+        (0, 6),
+        (1, 2, 5, 7, 8, 11, 12, 13, 20, 22, 27, 29),
+        (3, 4, 9, 10, 14, 15, 16, 17, 18, 19, 21, 23, 24, 25, 26, 28))
+
+
 def test_veblen_catalog_shape():
     cat = veblen_catalog()
     assert set(cat) == {"G", "G*", "W2", "V4", "V5", "V6"}

@@ -1,6 +1,7 @@
 """Rational parametric realizations, faithfulness, closure checks and the
 PG(2,q) embedding search."""
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -83,6 +84,29 @@ def test_explicit_free_parameter_respected():
     real = parametric_realization(
         "c4", {"beta2": 2, "x": 2, "y": 2, "alpha2": -9})
     assert real.params["alpha2"] == -9
+
+
+@pytest.mark.parametrize("case, params, digest", [
+    ("c4", {"beta2": 2, "x": 2, "y": 2},
+     "c1964d0120cea58dee147d9cd08e8f5a8c60dfbb217516b1fb71c596ed6cc1c8"),
+    # the scan's first value is -9, so supplying it gives the same result
+    ("c4", {"beta2": 2, "x": 2, "y": 2, "alpha2": -9},
+     "c1964d0120cea58dee147d9cd08e8f5a8c60dfbb217516b1fb71c596ed6cc1c8"),
+    ("c4", {"beta2": 3, "x": Fraction(1, 2), "y": -1},
+     "5a58edf6f7cbe198b5ccda08d65701932b228447da30162264a2817b62caa6a5"),
+    ("c4", {"beta2": 2, "x": 2, "y": 2, "alpha2": 3},
+     "321aa1d7b17443f2e0a6f40f36b42410eb7c58fc8c2b2efa0b37274c4063ccf9"),
+    ("c3f", {"beta1": 5, "beta2": 2, "y": 2},
+     "e58b4132059ea34400ef0ee93541ede5ca35edcbc17d9b6c1d8d3157b4206077"),
+    ("c3f", {"beta1": 5, "beta2": 2, "y": 2, "x": 3},
+     "54cb6cf082ba76830f00a55091b98088c9f7556105da462bd0a944b21c4ce950"),
+])
+def test_parametric_realization_is_pinned(case, params, digest):
+    # coordinates and the parameters used, scanned or given
+    r = parametric_realization(case, params)
+    text = repr((sorted((str(k), tuple(map(str, v))) for k, v in r.coords.items()),
+                 sorted((k, str(v)) for k, v in r.params.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_closure_check_on_faithful_realization(c4_realization):
