@@ -20,8 +20,8 @@ from .analysis import (classify_pair_skew, free_complete_subgraphs, free_count,
                        third_graph_criterion)
 from .iso import (are_isomorphic, automorphism_count, canonical_form,
                   criterion_iso, is_isomorphism)
-from .census import (CensusEntry, census_kappa_n4, census_perm_n4,
-                     classify_grasaxis, full_census, identify)
+from .census import (CensusEntry, census_n4, classify_grasaxis, full_census,
+                     identify)
 from .realize import (Realization, closure_check, collinear, embed_search,
                       fez_closure_witness, parametric_realization,
                       verify_pg_embedding, verify_realization)

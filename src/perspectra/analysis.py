@@ -71,6 +71,8 @@ def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
 
 def free_complete_subgraphs(config: Configuration, m: int):
     """All m-vertex freely contained complete subgraphs (and all m-cliques)."""
+    if m < 0:
+        raise IncidenceError(f"clique size must not be negative, got {m}")
     adj = adjacency_indices(config)
     cliques = _cliques_of_size(adj, m)
     free_sets = []
@@ -120,8 +122,8 @@ def preserves_intersection(delta: PairPermutation) -> bool:
     return True
 
 
-def classify_pair_skew(delta: PairPermutation, n: int | None = None) -> SkewClass:
-    n = n or delta.n
+def classify_pair_skew(delta: PairPermutation) -> SkewClass:
+    n = delta.n
     if not preserves_intersection(delta):
         return SkewClass("nonpreserving")
     for phi in all_permutations(n):
@@ -177,7 +179,7 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
         u = pair_of_c[f]
         skew[u] = tuple(sorted((b_index[x], b_index[y])))
     delta = pair_perm_from_dict(n, skew)
-    cls = classify_pair_skew(delta, n)
+    cls = classify_pair_skew(delta)
     if cls.kind == "induced":
         delta = induced_pair_map(cls.phi)
     elif cls.kind == "complement":

@@ -110,30 +110,26 @@ def classify_grasaxis(n: int):
     for e in entries:
         if len({cycle_type(parse_cycles(skew, n)) for skew, _ in e.members}) != 1:
             raise AssertionError("class does not match the cycle type")
-    if len(entries) != partitions(n)[1]:
+    if len(entries) != len(partitions(n)):
         raise AssertionError("a cycle type spans several classes")
     return entries
 
 
-def _census_family(family: str):
-    lift = induced_pair_map if family == "perm" else kappa_composed
+def census_n4(family: str) -> list[CensusEntry]:
+    """The n = 4 census of one skew family, "perm" or "kappa": every skew
+    over every Veblen labeling, one entry per isomorphism class."""
+    lifts = {"perm": induced_pair_map, "kappa": kappa_composed}
+    if family not in lifts:
+        raise IncidenceError(f"unknown census family {family!r}")
     labelings = enumerate_veblen().labelings
 
     def items():
         for sigma in all_permutations(4):
-            delta = lift(sigma)
+            delta = lifts[family](sigma)
             for li, axis in enumerate(labelings):
                 yield (sigma.image, li), SkewPerspectiveSpec(4, delta, axis)
 
     return _classify(family, 4, items())
-
-
-def census_perm_n4():
-    return _census_family("perm")
-
-
-def census_kappa_n4():
-    return _census_family("kappa")
 
 
 PAPER_PERM_TOTAL = 42
@@ -164,8 +160,8 @@ def _compare(count: int, expected: int, what: str):
 
 
 def full_census() -> CensusReport:
-    perm = census_perm_n4()
-    kap = census_kappa_n4()
+    perm = census_n4("perm")
+    kap = census_n4("kappa")
     findings = []
     findings += _compare(len(perm), PAPER_PERM_TOTAL, "permutation-skew census")
     findings += _compare(len(kap), PAPER_KAPPA_TOTAL, "kappa-skew census")

@@ -22,9 +22,10 @@ from .families import (SkewPerspectiveSpec, grassmannian, kappa_spec,
 from .analysis import (classify_pair_skew, free_complete_subgraphs,
                        reperspective, third_graph_criterion)
 from .iso import are_isomorphic, automorphism_count
-from .census import (SCHEMA_VERSION, CensusReport, census_kappa_n4,
-                     census_perm_n4, full_census, identify)
-from .realize import embed_search, parametric_realization, verify_realization
+from .census import (SCHEMA_VERSION, CensusReport, census_n4, full_census,
+                     identify)
+from .realize import (PARAMETRIC_CASES, embed_search, parametric_realization,
+                      verify_realization)
 
 
 def _load(path: str) -> Configuration:
@@ -122,8 +123,6 @@ def spec_from_config(config: Configuration) -> SkewPerspectiveSpec:
 
 def _cmd_analyze(args):
     config = _load(args.input)
-    if args.free_k < 0:
-        raise IncidenceError(f"--free-k must not be negative, got {args.free_k}")
     out = {}
     if args.free_k:
         report = free_complete_subgraphs(config, args.free_k)
@@ -133,7 +132,7 @@ def _cmd_analyze(args):
     if args.skew_class or args.centers:
         spec = spec_from_config(config)
         if args.skew_class:
-            cls = classify_pair_skew(spec.delta, spec.n)
+            cls = classify_pair_skew(spec.delta)
             out["skew_class"] = cls.kind
             if cls.phi is not None:
                 out["skew_phi"] = str(cls.phi)
@@ -171,12 +170,10 @@ def _cmd_aut(args):
 
 
 def _cmd_census(args):
-    if args.family == "perm":
-        report = CensusReport(tuple(census_perm_n4()), ())
-    elif args.family == "kappa":
-        report = CensusReport(tuple(census_kappa_n4()), ())
-    else:
+    if args.family == "all":
         report = full_census()
+    else:
+        report = CensusReport(tuple(census_n4(args.family)), ())
     _emit(report.to_json(), args.output)
     if args.output:
         totals = {}
@@ -217,8 +214,8 @@ def _cmd_realize(args):
 
 def _budget(text: str) -> int:
     value = float(text)
-    if not (math.isfinite(value) and value == int(value) and value > 0):
-        raise IncidenceError(f"--budget must be a positive whole number, got {text!r}")
+    if not (math.isfinite(value) and value.is_integer()):
+        raise IncidenceError(f"--budget must be a whole number, got {text!r}")
     return int(value)
 
 
@@ -303,7 +300,7 @@ def _build_parser():
 
     p = sub.add_parser("realize", parents=[common])
     p.add_argument("input")
-    p.add_argument("--case", required=True, choices=["c4", "c3f"])
+    p.add_argument("--case", required=True, choices=list(PARAMETRIC_CASES))
     p.add_argument("--params", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_realize)

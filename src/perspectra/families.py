@@ -176,34 +176,17 @@ class VeblenEnumeration:
 def enumerate_veblen() -> VeblenEnumeration:
     labelings = all_veblen_labelings()
     key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
+    # kappa commutes with every induced map and kappa^2 = id, so these 48
+    # maps form a group: the orbit of a labeling is the set of its images
     maps = [induced_pair_map(phi) for phi in all_permutations(4)]
     maps += [kappa_composed(phi) for phi in all_permutations(4)]
-    assigned = {}
-    orbits = []
-    for i in range(len(labelings)):
-        if i in assigned:
-            continue
-        orbit = set()
-        stack = [i]
-        while stack:
-            j = stack.pop()
-            if j in orbit:
-                continue
-            orbit.add(j)
-            for m in maps:
-                k = key_of[_line_pair_sets(apply_pair_map_to_axis(m, labelings[j]))]
-                if k not in orbit:
-                    stack.append(k)
-        for j in orbit:
-            assigned[j] = len(orbits)
-        orbits.append(tuple(sorted(orbit)))
-    catalog = veblen_catalog()
-    catalog_orbit = {}
-    for name, axis in catalog.items():
-        catalog_orbit[name] = assigned[key_of[_line_pair_sets(axis)]]
-    covered = set(catalog_orbit.values())
+    orbit_of = [tuple(sorted({key_of[_line_pair_sets(apply_pair_map_to_axis(m, v))]
+                              for m in maps})) for v in labelings]
+    orbits = sorted(set(orbit_of))
+    catalog_orbit = {name: orbits.index(orbit_of[key_of[_line_pair_sets(axis)]])
+                     for name, axis in veblen_catalog().items()}
     return VeblenEnumeration(tuple(labelings), tuple(orbits), catalog_orbit,
-                             covered == set(range(len(orbits))))
+                             set(catalog_orbit.values()) == set(range(len(orbits))))
 
 
 def veblen_catalog() -> dict:
@@ -311,12 +294,8 @@ def quasi_grassmannian_perm(n: int) -> Permutation:
     return Permutation(tuple(img))
 
 
-def quasi_grassmannian_spec(n: int) -> SkewPerspectiveSpec:
-    return perm_spec(n, quasi_grassmannian_perm(n))
-
-
 def quasi_grassmannian(n: int) -> Configuration:
-    return skew_perspective(quasi_grassmannian_spec(n))
+    return skew_perspective(perm_spec(n, quasi_grassmannian_perm(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -193,8 +193,8 @@ def top(Y) -> frozenset[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # partitions
 
-def partitions(n: int):
-    """All integer partitions of n; returns (table P(n,k), total P(n), list)."""
+def partitions(n: int) -> list[tuple[int, ...]]:
+    """All integer partitions of n, as sorted ascending tuples, in order."""
     parts = []
 
     def rec(remaining, maxpart, acc):
@@ -205,8 +205,4 @@ def partitions(n: int):
             rec(remaining - p, p, acc + [p])
 
     rec(n, n, [])
-    parts = sorted(set(parts))
-    table = {}
-    for pt in parts:
-        table[len(pt)] = table.get(len(pt), 0) + 1
-    return table, len(parts), parts
+    return sorted(parts)

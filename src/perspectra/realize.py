@@ -187,47 +187,28 @@ def _parse_params(text_or_dict, names):
 _SCAN = tuple(Fraction(n, d) for d in (1, 2, 3, 4, 5)
               for n in range(-9, 10) if n != 0)
 
-
-def _c4_coords(alpha2, b2, x, y):
-    den1 = alpha2 * x - 1
-    den2 = b2 * y - 1
-    if den1 == 0 or den2 == 0 or b2 == 0:
-        raise IncidenceError("degenerate parameters")
-    alpha1 = y * (alpha2 - 1) * (b2 - 1) / (den1 * den2)
-    beta1 = alpha1 * b2 * x - b2 + 1
-    return {
-        center(): (1, 0, 0),
-        a_point(1): (0, 0, 1), b_point(1): (1, 0, 1),
-        a_point(2): (1, alpha1, alpha2), b_point(2): (1, alpha1 * x, alpha2 * x),
-        a_point(3): (1, beta1, b2), b_point(3): (1, beta1 * y, b2 * y),
-        a_point(4): (0, 1, 0), b_point(4): (1, 1, 0),
-    }
+# case -> (skew, given parameters, scanned parameter, k): a_k = (1, beta1,
+# beta2) and b_k = (1, beta1 y, beta2 y); a_{7-k} = (0,1,0), b_{7-k} = (1,1,0)
+PARAMETRIC_CASES = {
+    "c4": ("(1,2,3,4)", ("beta2", "x", "y"), "alpha2", 3),
+    "c3f": ("(1,2,3)", ("beta1", "beta2", "y"), "x", 4),
+}
 
 
-def _c3f_coords(alpha2, beta1, b2, x, y):
-    den = alpha2 * x - 1
-    if den == 0:
-        raise IncidenceError("degenerate parameters")
-    alpha1 = (alpha2 - 1) / den
-    return {
-        center(): (1, 0, 0),
-        a_point(1): (0, 0, 1), b_point(1): (1, 0, 1),
-        a_point(2): (1, alpha1, alpha2), b_point(2): (1, alpha1 * x, alpha2 * x),
-        a_point(3): (0, 1, 0), b_point(3): (1, 1, 0),
-        a_point(4): (1, beta1, b2), b_point(4): (1, beta1 * y, b2 * y),
-    }
-
-
-def _finish(spec, coords, config, used) -> Realization | None:
-    try:
-        _c_points(spec.delta.phi, coords)
-        coords = {lab: normalize(v) for lab, v in coords.items()}
-    except (ZeroDivisionError, IncidenceError):
-        return None
-    ok, _ = verify_realization(config, coords)
-    if not ok:
-        return None
-    return Realization(spec, coords, used)
+def _solve(case, p):
+    """(alpha1, alpha2, beta1) from the incidence constraints.  Raises
+    ZeroDivisionError on a degenerate input; the other degenerate inputs
+    (beta2 = 0 for c4, beta2 x = beta1 for c3f) make a_k or a_2 coincide
+    with b_{7-k}, which verification rejects."""
+    b2, x, y = p["beta2"], p["x"], p["y"]
+    if case == "c4":
+        a2 = p["alpha2"]
+        a1 = y * (a2 - 1) * (b2 - 1) / ((a2 * x - 1) * (b2 * y - 1))
+        return a1, a2, a1 * b2 * x - b2 + 1
+    b1 = p["beta1"]
+    # alpha2 from beta1 = beta2 x (alpha2 - 1)/(alpha2 x - 1)
+    a2 = (b2 * x - b1) / (x * (b2 - b1))
+    return (a2 - 1) / (a2 * x - 1), a2, b1
 
 
 def parametric_realization(case: str, params) -> Realization:
@@ -239,44 +220,33 @@ def parametric_realization(case: str, params) -> Realization:
     c3f); when not supplied it is filled by a deterministic scan for a value
     making the realization faithful.  The dependent coordinates are computed
     from the incidence constraints; the result is always verified."""
-    if case == "c4":
-        p = _parse_params(params, ["beta2", "x", "y"])
-        b2, x, y = p["beta2"], p["x"], p["y"]
-        spec = perm_spec(4, "(1,2,3,4)")
-        config = skew_perspective(spec)
-        candidates = [p["alpha2"]] if "alpha2" in p else list(_SCAN)
-        for alpha2 in candidates:
-            try:
-                coords = _c4_coords(alpha2, b2, x, y)
-            except IncidenceError:
-                continue
-            used = {"alpha2": alpha2, "beta2": b2, "x": x, "y": y}
-            real = _finish(spec, coords, config, used)
-            if real is not None:
-                return real
-        raise IncidenceError("degenerate parameters: no faithful completion")
-    if case == "c3f":
-        p = _parse_params(params, ["beta1", "beta2", "y"])
-        beta1, b2, y = p["beta1"], p["beta2"], p["y"]
-        spec = perm_spec(4, "(1,2,3)")
-        config = skew_perspective(spec)
-        candidates = [p["x"]] if "x" in p else list(_SCAN)
-        for x in candidates:
-            if x == 0 or beta1 == b2 or b2 * x == beta1:
-                continue
-            # alpha2 from beta1 = beta2 x (alpha2 - 1)/(alpha2 x - 1)
-            alpha2 = (b2 * x - beta1) / (x * (b2 - beta1))
-            try:
-                coords = _c3f_coords(alpha2, beta1, b2, x, y)
-            except IncidenceError:
-                continue
-            used = {"beta1": beta1, "beta2": b2, "x": x, "y": y,
-                    "alpha2": alpha2}
-            real = _finish(spec, coords, config, used)
-            if real is not None:
-                return real
-        raise IncidenceError("degenerate parameters: no faithful completion")
-    raise IncidenceError(f"unknown case {case!r}")
+    if case not in PARAMETRIC_CASES:
+        raise IncidenceError(f"unknown case {case!r}")
+    skew, given, scanned, k = PARAMETRIC_CASES[case]
+    p = _parse_params(params, given)
+    spec = perm_spec(4, skew)
+    config = skew_perspective(spec)
+    for value in [p[scanned]] if scanned in p else _SCAN:
+        used = {name: p[name] for name in given}
+        used[scanned] = value
+        try:
+            a1, a2, b1 = _solve(case, used)
+            used["alpha2"] = a2
+            b2, x, y = used["beta2"], used["x"], used["y"]
+            side = {1: ((0, 0, 1), (1, 0, 1)),
+                    2: ((1, a1, a2), (1, a1 * x, a2 * x)),
+                    k: ((1, b1, b2), (1, b1 * y, b2 * y)),
+                    7 - k: ((0, 1, 0), (1, 1, 0))}
+            coords = {center(): (1, 0, 0)}
+            for i in range(1, 5):
+                coords[a_point(i)], coords[b_point(i)] = side[i]
+            _c_points(spec.delta.phi, coords)
+            coords = {lab: normalize(v) for lab, v in coords.items()}
+        except (ZeroDivisionError, IncidenceError):
+            continue
+        if verify_realization(config, coords)[0]:
+            return Realization(spec, coords, used)
+    raise IncidenceError("degenerate parameters: no faithful completion")
 
 
 def closure_check(config: Configuration, coords: dict, withheld):
@@ -468,14 +438,17 @@ def embed_search(config: Configuration, q: int, budget: int = 10 ** 9) -> EmbedR
     counts the placements tried; past `budget` of them the status is
     "inconclusive".  A found embedding is re-checked with
     verify_pg_embedding.  Raises IncidenceError unless every line has three
-    points and no two lines share two points."""
+    points and no two lines share two points, and unless budget is a
+    positive int."""
+    if type(budget) is not int or budget < 1:
+        raise IncidenceError(f"budget must be a positive int, got {budget!r}")
     third = _third_points(config)
     frame = next((quad for quad in combinations(range(len(config.points)), 4)
                   if all(third[u][v] != w for u, v, w in combinations(quad, 3))),
                  None)
     if frame is None:
         raise IncidenceError("no frame of four points in general position")
-    search = _Search(third, _plane(q), int(budget))
+    search = _Search(third, _plane(q), budget)
     domains = dict.fromkeys(range(len(config.points)), (1 << len(search.points)) - 1)
     # (1,0,0), (0,1,0), (0,0,1), (1,1,1) by their indices in pg2q_points(q)
     for v, p in zip(frame, (q + 1, 1, 0, 2 * q + 2)):

@@ -48,8 +48,8 @@ def test_criterion_02_grassmannian_axis_type_counts():
     n4 = ps.classify_grasaxis(4)
     n5 = ps.classify_grasaxis(5)
     elapsed = time.perf_counter() - start
-    assert len(n4) == 5 == partitions(4)[1]
-    assert len(n5) == 7 == partitions(5)[1]
+    assert len(n4) == 5 == len(partitions(4))
+    assert len(n5) == 7 == len(partitions(5))
     assert elapsed < 10.0, f"took {elapsed:.2f} s"
     print(f"criterion 2: PASS - P(4)=5 and P(5)=7 classes in {elapsed:.2f} s")
 

@@ -7,9 +7,10 @@ from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  free_count, is_freely_contained,
                                  preserves_intersection, reperspective,
                                  third_graph_criterion)
-from perspectra.families import (grassmannian, kappa_spec, perm_spec,
-                                 quasi_grassmannian, skew_perspective,
-                                 veronesian, veronesian_two_letter_set, zeta)
+from perspectra.families import (desargues, grassmannian, kappa_spec,
+                                 perm_spec, quasi_grassmannian,
+                                 skew_perspective, veronesian,
+                                 veronesian_two_letter_set, zeta)
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, pairs_of, star)
 
@@ -45,6 +46,15 @@ def test_free_report_contains_cliques_and_free_sets():
     assert set(rep.free_sets) <= set(rep.cliques)
     stars = {tuple(sorted(c_point(*u) for u in star(i, 6))) for i in range(1, 7)}
     assert {tuple(sorted(s)) for s in rep.free_sets} == stars
+
+
+def test_free_subgraphs_reject_negative_size():
+    for m in (-1, -2):
+        with pytest.raises(IncidenceError, match="must not be negative"):
+            free_complete_subgraphs(desargues(), m)
+        with pytest.raises(IncidenceError, match="must not be negative"):
+            free_count(desargues(), m)
+    assert free_complete_subgraphs(desargues(), 0).cliques == ((),)
 
 
 def test_third_graph_criterion_matches_brute_force():

@@ -8,8 +8,8 @@ import pytest
 from perspectra.incidence import IncidenceError
 from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                PAPER_PERM_TOTAL, SCHEMA_VERSION,
-                               census_kappa_n4, census_perm_n4,
-                               classify_grasaxis, full_census, identify)
+                               census_n4, classify_grasaxis, full_census,
+                               identify)
 from perspectra.families import (desargues, fez, grassmannian, kantor,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective)
@@ -28,7 +28,7 @@ def test_classify_grasaxis_n3_names():
 def test_classify_grasaxis_counts_match_partitions():
     for n in (3, 4, 5):
         entries = classify_grasaxis(n)
-        assert len(entries) == partitions(n)[1]
+        assert len(entries) == len(partitions(n))
         import math
         assert sum(e.class_size for e in entries) == math.factorial(n)
 
@@ -48,12 +48,23 @@ def test_classify_grasaxis_n4_known_labels():
 
 
 def test_census_families_are_deterministic(census_report):
-    perm1 = census_perm_n4()
-    perm2 = census_perm_n4()
+    perm1 = census_n4("perm")
+    perm2 = census_n4("perm")
     assert [e.canonical_hash for e in perm1] == [e.canonical_hash for e in perm2]
-    kap = census_kappa_n4()
+    kap = census_n4("kappa")
     assert all(e.family == "kappa" for e in kap)
     assert all(e.family == "perm" for e in perm1)
+
+
+def test_census_n4_matches_full_census(census_report):
+    for family in ("perm", "kappa"):
+        assert census_n4(family) == [e for e in census_report.entries
+                                     if e.family == family]
+
+
+def test_census_n4_rejects_unknown_family():
+    with pytest.raises(IncidenceError, match="unknown census family"):
+        census_n4("bogus")
 
 
 def test_census_entries_cover_all_720_labeled_instances(census_report):

@@ -236,8 +236,10 @@ def test_spec_from_config_matches_reperspective(census_report, case):
 
 
 def test_console_entry_point_runs():
+    src = str(Path(perspectra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "perspectra.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "perspectra" in proc.stdout
 

@@ -202,6 +202,12 @@ def test_embed_search_budget_exhaustion():
     assert result.nodes >= 3
 
 
+@pytest.mark.parametrize("budget", [0, -3, 2.5, 1e9, "50", True, None])
+def test_embed_search_rejects_bad_budget(budget):
+    with pytest.raises(IncidenceError, match="budget must be a positive int"):
+        embed_search(desargues(), 5, budget)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_extension_field_axioms(q):
     f = galois_field(q)
