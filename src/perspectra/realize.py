@@ -212,14 +212,16 @@ def _solve(case, p):
 
 
 def parametric_realization(case: str, params) -> Realization:
-    """Exact faithful realization of the two realizable 4-index cases over
-    the Grassmannian axis: 'c4' (4-cycle skew, parameters beta2, x, y) and
-    'c3f' (3-cycle plus a fixed point, parameters beta1, beta2, y).
+    """Exact faithful realization of a case of PARAMETRIC_CASES, the two
+    realizable 4-index skews over the Grassmannian axis: 'c4' (4-cycle skew,
+    parameters beta2, x, y) and 'c3f' (3-cycle plus a fixed point,
+    parameters beta1, beta2, y).
 
-    Each case has one remaining degree of freedom (alpha2 for c4, x for
-    c3f); when not supplied it is filled by a deterministic scan for a value
-    making the realization faithful.  The dependent coordinates are computed
-    from the incidence constraints; the result is always verified."""
+    Each case has one remaining degree of freedom, its scanned parameter
+    (alpha2 for c4, x for c3f); when not supplied it is filled by a
+    deterministic scan for a value making the realization faithful.  The
+    dependent coordinates are computed from the incidence constraints; the
+    result is always verified."""
     if case not in PARAMETRIC_CASES:
         raise IncidenceError(f"unknown case {case!r}")
     skew, given, scanned, k = PARAMETRIC_CASES[case]
