@@ -319,3 +319,60 @@ def test_non_partial_linear_input_is_rejected(tmp_path, capsys, fault, command):
     argv = [command, str(path)] + (["--q", "5"] if command == "search-pg" else [])
     assert run(argv) == 1
     assert fault in capsys.readouterr().err
+
+
+# exact stdout and exit code of the reporting subcommands, text and --json;
+# tests/cli_golden.json holds the expected output
+_GOLDEN_INPUTS = {
+    "g5": ["--family", "gras", "--n", "5"],
+    "g6": ["--family", "gras", "--n", "6"],
+    "perm": ["--family", "skew", "--n", "4", "--skew", "(1,2)"],
+    "kappa": ["--family", "skew", "--n", "4", "--skew", "(1,2,3)", "--kappa"],
+    "w2": ["--family", "skew", "--n", "4", "--skew", "id", "--axis", "W2"],
+    "perm34": ["--family", "skew", "--n", "4", "--skew", "(3,4)"],
+    "quasi": ["--family", "quasigras", "--n", "4"],
+    "veronese": ["--family", "veronese", "--n", "4"],
+    "desargues": ["--family", "skew", "--n", "3", "--skew", "id"],
+}
+
+_GOLDEN_CASES = {
+    "verify-valid": ["verify", "g5"],
+    "verify-violation": ["verify", "bad"],
+    "analyze-perm": ["analyze", "perm", "--free-k", "5", "--skew-class",
+                     "--centers"],
+    "analyze-kappa": ["analyze", "kappa", "--free-k", "5", "--skew-class"],
+    "analyze-bare": ["analyze", "perm"],
+    "iso-witness": ["iso", "w2", "perm34", "--witness"],
+    "iso-non-match": ["iso", "perm", "kappa"],
+    "aut": ["aut", "g6"],
+    "identify-match": ["identify", "quasi"],
+    "identify-no-match": ["identify", "veronese"],
+    "identify-g5": ["identify", "g5"],
+    "search-pg": ["search-pg", "desargues", "--q", "5"],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, argv in _GOLDEN_INPUTS.items():
+        paths[name] = str(folder / f"{name}.json")
+        assert run(["construct", *argv, "-o", paths[name]]) == 0
+    paths["bad"] = str(folder / "bad.json")
+    Path(paths["bad"]).write_text(json.dumps(
+        {"points": ["w", "x", "y", "z"], "lines": [[0, 1, 2], [0, 1, 3]]}))
+    return paths
+
+
+def _golden_run(paths, case, mode, capsys):
+    argv = [paths.get(word, word) for word in _GOLDEN_CASES[case]]
+    code = run(argv + (["--json"] if mode == "json" else []))
+    return [code, capsys.readouterr().out]
+
+
+@pytest.mark.parametrize("mode", ["text", "json"])
+@pytest.mark.parametrize("case", list(_GOLDEN_CASES))
+def test_cli_output_is_golden(golden_inputs, capsys, case, mode):
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    assert _golden_run(golden_inputs, case, mode, capsys) == golden[case][mode]

@@ -131,6 +131,14 @@ def test_fez_closure_witness():
     assert closure_check(config, coords, withheld) is False
 
 
+def test_fez_closure_witness_is_pinned():
+    _, coords, withheld = fez_closure_witness()
+    text = repr((sorted((str(k), tuple(map(str, v))) for k, v in coords.items()),
+                 tuple(map(str, withheld))))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "610c3d274377863589907cb9c7dee66b6383b39c58fc0fe02b9cd4650d5ef763"
+
+
 def test_galois_field_arithmetic():
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         f = galois_field(q)
