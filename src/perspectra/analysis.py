@@ -12,7 +12,7 @@ from .incidence import (Configuration, IncidenceError, PointLabel, a_point,
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
-from .families import SkewPerspectiveSpec
+from .families import SkewPerspectiveSpec, skew_perspective
 
 
 def is_freely_contained(config: Configuration, vertices) -> bool:
@@ -194,8 +194,7 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
     axis = Configuration.build(
         [c_point(i, j) for i, j in pairs_of(n)], axis_lines)
     spec = SkewPerspectiveSpec(n, delta, axis)
-    from .families import skew_perspective
-    from .iso import are_isomorphic
+    from .iso import are_isomorphic  # local: iso imports this module
     rebuilt = skew_perspective(spec)
     if are_isomorphic(rebuilt, config) is None:
         raise IncidenceError("reperspective round-trip failed")

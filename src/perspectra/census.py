@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
-from .perms import (Permutation, all_permutations, cycle_type,
-                    induced_pair_map, kappa_composed, parse_cycles, partitions)
+from .perms import (LIFTS, Permutation, all_permutations, cycle_type,
+                    induced_pair_map, parse_cycles, partitions)
 from .families import (SkewPerspectiveSpec, enumerate_veblen, fez, grassmannian,
                        kantor, multiveblen, path_graph, quasi_grassmannian,
                        skew_perspective)
@@ -118,14 +118,14 @@ def classify_grasaxis(n: int):
 def census_n4(family: str) -> list[CensusEntry]:
     """The n = 4 census of one skew family, "perm" or "kappa": every skew
     over every Veblen labeling, one entry per isomorphism class."""
-    lifts = {"perm": induced_pair_map, "kappa": kappa_composed}
-    if family not in lifts:
+    tags = {"perm": "induced", "kappa": "kappa"}
+    if family not in tags:
         raise IncidenceError(f"unknown census family {family!r}")
     labelings = enumerate_veblen().labelings
 
     def items():
         for sigma in all_permutations(4):
-            delta = lifts[family](sigma)
+            delta = LIFTS[tags[family]](sigma)
             for li, axis in enumerate(labelings):
                 yield (sigma.image, li), SkewPerspectiveSpec(4, delta, axis)
 

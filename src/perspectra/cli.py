@@ -35,10 +35,18 @@ def _load(path: str) -> Configuration:
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
+        with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _report(args, payload, text: str):
+    """Print payload as sorted JSON under --json, otherwise text (if any)."""
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    elif text:
+        print(text)
 
 
 def _resolve_axis(name: str, n: int):
@@ -95,18 +103,13 @@ def _cmd_verify(args):
     config = _load(args.input)
     result = verify(config)
     if isinstance(result, ConfigurationSignature):
-        if args.json:
-            print(json.dumps({"signature": list(result.as_tuple())}))
-        else:
-            print("signature (nu,r,b,kappa) =", result.as_tuple())
+        _report(args, {"signature": list(result.as_tuple())},
+                f"signature (nu,r,b,kappa) = {result.as_tuple()}")
         return 0
-    payload = {"violation": result.axiom,
-               "witness": [[str(x) for x in w] if isinstance(w, tuple) else w
-                           for w in result.witness]}
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(f"violation: {result.axiom}; witness {payload['witness']}")
+    witness = [[str(x) for x in w] if isinstance(w, tuple) else w
+               for w in result.witness]
+    _report(args, {"violation": result.axiom, "witness": witness},
+            f"violation: {result.axiom}; witness {witness}")
     return 1
 
 
@@ -138,34 +141,26 @@ def _cmd_analyze(args):
                 out["skew_phi"] = str(cls.phi)
         if args.centers:
             out["alternate_centers"] = [i for i, _ in third_graph_criterion(spec)]
-    if args.json:
-        print(json.dumps(out, sort_keys=True))
-    else:
-        for k in sorted(out):
-            print(f"{k}: {out[k]}")
+    _report(args, out, "\n".join(f"{k}: {out[k]}" for k in sorted(out)))
     return 0
 
 
 def _cmd_iso(args):
     c1, c2 = _load(args.a), _load(args.b)
     witness = are_isomorphic(c1, c2)
-    if args.json:
-        payload = {"isomorphic": witness is not None}
-        if witness is not None and args.witness:
-            payload["witness"] = {str(k): str(v) for k, v in witness.items()}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print("isomorphic" if witness is not None else "not isomorphic")
-        if witness is not None and args.witness:
-            for k in sorted(witness, key=str):
-                print(f"  {k} -> {witness[k]}")
+    payload = {"isomorphic": witness is not None}
+    lines = ["isomorphic" if witness is not None else "not isomorphic"]
+    if witness is not None and args.witness:
+        payload["witness"] = {str(k): str(v) for k, v in witness.items()}
+        lines += [f"  {k} -> {witness[k]}" for k in sorted(witness, key=str)]
+    _report(args, payload, "\n".join(lines))
     return 0
 
 
 def _cmd_aut(args):
     config = _load(args.input)
     count = automorphism_count(config)
-    print(json.dumps({"automorphisms": count}) if args.json else count)
+    _report(args, {"automorphisms": count}, str(count))
     return 0
 
 
@@ -186,13 +181,12 @@ def _cmd_census(args):
 def _cmd_identify(args):
     config = _load(args.input)
     entry = identify(config)
-    if args.json:
-        print(json.dumps(entry.as_json_dict() if entry else None, sort_keys=True))
-    elif entry is None:
-        print("no match in the census")
+    if entry is None:
+        _report(args, None, "no match in the census")
     else:
-        print(f"{entry.family} class: skew {entry.representative.describe_skew()}"
-              f" label {entry.paper_label!r}")
+        _report(args, entry.as_json_dict(),
+                f"{entry.family} class: skew {entry.representative.describe_skew()}"
+                f" label {entry.paper_label!r}")
     return 0
 
 
@@ -227,35 +221,26 @@ def _cmd_search_pg(args):
     if result.assignment:
         payload["embedding"] = {str(k): list(v)
                                 for k, v in result.assignment.items()}
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"{result.status} (q={args.q}, nodes={result.nodes})")
+    _report(args, payload, f"{result.status} (q={args.q}, nodes={result.nodes})")
     return 0
 
 
 def _cmd_export(args):
-    config = _load(args.input)
-    data = export(config, args.format)
-    if args.output:
-        with open(args.output, "wb") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data.decode())
+    _emit(export(_load(args.input), args.format).decode(), args.output)
     return 0
 
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
-                        help="force JSON output")
+                        help="print the report as JSON")
 
     top = argparse.ArgumentParser(prog="perspectra")
     top.add_argument("--version", action="version",
                      version=f"perspectra {__version__} (census schema {SCHEMA_VERSION})")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", parents=[common])
+    p = sub.add_parser("construct")
     p.add_argument("--family", required=True,
                    choices=["gras", "skew", "mveb", "veronese", "quasigras", "zeta"])
     p.add_argument("--n", type=int, default=4)
@@ -289,7 +274,7 @@ def _build_parser():
     p.add_argument("input")
     p.set_defaults(func=_cmd_aut)
 
-    p = sub.add_parser("census", parents=[common])
+    p = sub.add_parser("census")
     p.add_argument("--family", choices=["perm", "kappa", "all"], default="all")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_census)
@@ -298,7 +283,7 @@ def _build_parser():
     p.add_argument("input")
     p.set_defaults(func=_cmd_identify)
 
-    p = sub.add_parser("realize", parents=[common])
+    p = sub.add_parser("realize")
     p.add_argument("input")
     p.add_argument("--case", required=True, choices=list(PARAMETRIC_CASES))
     p.add_argument("--params", required=True)
@@ -311,7 +296,7 @@ def _build_parser():
     p.add_argument("--budget", default="1e9")
     p.set_defaults(func=_cmd_search_pg)
 
-    p = sub.add_parser("export", parents=[common])
+    p = sub.add_parser("export")
     p.add_argument("input")
     p.add_argument("--format", default="json", choices=["json", "dot"])
     p.add_argument("-o", "--output")

@@ -11,7 +11,7 @@ from math import comb
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center, free_point, require_signature)
-from .perms import (PairPermutation, Permutation, all_permutations,
+from .perms import (LIFTS, PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa, kappa_composed,
                     pair_perm_from_dict, pairs_of, parse_cycles, star, top)
 
@@ -178,8 +178,7 @@ def enumerate_veblen() -> VeblenEnumeration:
     key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
     # kappa commutes with every induced map and kappa^2 = id, so these 48
     # maps form a group: the orbit of a labeling is the set of its images
-    maps = [induced_pair_map(phi) for phi in all_permutations(4)]
-    maps += [kappa_composed(phi) for phi in all_permutations(4)]
+    maps = [lift(phi) for lift in LIFTS.values() for phi in all_permutations(4)]
     orbit_of = [tuple(sorted({key_of[_line_pair_sets(apply_pair_map_to_axis(m, v))]
                               for m in maps})) for v in labelings]
     orbits = sorted(set(orbit_of))
@@ -242,10 +241,6 @@ def complete_graph(n: int):
     return set(pairs_of(n))
 
 
-def empty_graph(n: int):
-    return set()
-
-
 def path_graph(n: int):
     return {(i, i + 1) for i in range(1, n)}
 
@@ -271,14 +266,6 @@ def veronesian(k: int) -> Configuration:
     return Configuration.build(
         [free_point(s) for s in points],
         [tuple(free_point(t) for t in line) for line in lines])
-
-
-def veronesian_two_letter_set(k: int, x: str, y: str):
-    """The clique candidate X_{x,y}: all degree-k multisets using only x, y."""
-    out = []
-    for i in range(k + 1):
-        out.append(free_point("".join(sorted(x * (k - i) + y * i))))
-    return out
 
 
 # ---------------------------------------------------------------------------

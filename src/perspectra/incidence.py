@@ -112,7 +112,6 @@ class ConfigurationSignature:
 class ViolationReport:
     axiom: str
     witness: tuple
-    partial: ConfigurationSignature
 
 
 @dataclass(frozen=True)
@@ -175,44 +174,34 @@ def verify(config: Configuration):
     axiom with witnesses.
     """
     nu = len(config.points)
-    b = len(config.lines)
     sizes = {len(line) for line in config.lines}
     if len(sizes) > 1:
         bad = sorted(config.lines, key=len)
         return ViolationReport(
             "not a k-configuration",
-            (config.line_labels(bad[0]), config.line_labels(bad[-1])),
-            ConfigurationSignature(nu, None, b, None),
-        )
+            (config.line_labels(bad[0]), config.line_labels(bad[-1])))
     kappa = sizes.pop() if sizes else None
     seen = set()
     for line in config.lines:
         if line in seen:
-            return ViolationReport(
-                "duplicate line", (config.line_labels(line),),
-                ConfigurationSignature(nu, None, b, kappa))
+            return ViolationReport("duplicate line", (config.line_labels(line),))
         seen.add(line)
         for idx in line:
             if not (0 <= idx < nu):
-                return ViolationReport(
-                    "line uses unknown point", (line,),
-                    ConfigurationSignature(nu, None, b, kappa))
+                return ViolationReport("line uses unknown point", (line,))
     pair_seen = {}
     for line in config.lines:
         for x, y in combinations(line, 2):
             if (x, y) in pair_seen and pair_seen[(x, y)] != line:
                 return ViolationReport(
                     "not partially linear",
-                    (config.line_labels(pair_seen[(x, y)]), config.line_labels(line)),
-                    ConfigurationSignature(nu, None, b, kappa))
+                    (config.line_labels(pair_seen[(x, y)]), config.line_labels(line)))
             pair_seen[(x, y)] = line
     ranks = set(config.ranks())
     if len(ranks) > 1:
-        return ViolationReport(
-            "not regular", tuple(sorted(ranks)),
-            ConfigurationSignature(nu, None, b, kappa))
+        return ViolationReport("not regular", tuple(sorted(ranks)))
     r = ranks.pop() if ranks else None
-    return ConfigurationSignature(nu, r, b, kappa)
+    return ConfigurationSignature(nu, r, len(config.lines), kappa)
 
 
 def require_partial_linear(config: Configuration) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .incidence import (Configuration, IncidenceError, a_point,
                         adjacency_indices, b_point, c_point, center,
                         require_partial_linear)
-from .perms import all_permutations, induced_pair_map, kappa_composed, pairs_of
+from .perms import LIFTS, all_permutations, induced_pair_map, pairs_of
 from .families import (SkewPerspectiveSpec, _line_pair_sets,
                        apply_pair_map_to_axis, skew_perspective)
 from .analysis import _clique_levels, is_freely_contained
@@ -224,9 +224,6 @@ def are_isomorphic(c1: Configuration, c2: Configuration):
 # ---------------------------------------------------------------------------
 # criterion-based isomorphism for the two skew families
 
-_LIFTS = {"induced": induced_pair_map, "kappa": kappa_composed}
-
-
 def _build_map(n: int, phi, swap_ab: bool, c_map):
     to_a, to_b = (b_point, a_point) if swap_ab else (a_point, b_point)
     m = {center(): center()}
@@ -244,12 +241,12 @@ def criterion_iso(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
     conjugating phi aligning the skews (directly, or inverted with the sides
     swapped) whose pair action carries axis1 onto axis2."""
     tag = spec1.delta.tag
-    if tag not in _LIFTS or spec2.delta.tag != tag:
+    if tag not in LIFTS or spec2.delta.tag != tag:
         raise IncidenceError("criterion requires two permutation skews or "
                              "two kappa-composed skews")
     if spec1.n != spec2.n:
         return None
-    lift = _LIFTS[tag]
+    lift = LIFTS[tag]
     s1, s2 = spec1.delta.phi, spec2.delta.phi
     s2_inv = s2.inverse()
     target = _line_pair_sets(spec2.axis)

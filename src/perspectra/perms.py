@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations
 
 
@@ -126,23 +127,22 @@ class PairPermutation:
         if sorted(src) != ps or sorted(dst) != ps:
             raise ValueError("not a bijection of the 2-subsets")
 
+    @cached_property
+    def _dict(self) -> dict:
+        return dict(self.mapping)
+
     def as_dict(self) -> dict:
-        d = getattr(self, "_d", None)
-        if d is None:
-            d = dict(self.mapping)
-            object.__setattr__(self, "_d", d)
-        return d
+        return self._dict
 
     def __call__(self, u) -> tuple[int, int]:
-        u = tuple(sorted(u))
-        return self.as_dict()[u]
+        return self._dict[tuple(sorted(u))]
 
     def inverse(self) -> "PairPermutation":
         inv = tuple(sorted((v, u) for u, v in self.mapping))
         return PairPermutation(self.n, inv)
 
     def compose(self, other: "PairPermutation") -> "PairPermutation":
-        d = self.as_dict()
+        d = self._dict
         return PairPermutation(
             self.n, tuple(sorted((u, d[v]) for u, v in other.mapping)))
 
@@ -162,10 +162,8 @@ def induced_pair_map(phi: Permutation) -> PairPermutation:
     return pair_perm_from_dict(phi.n, d, "induced", phi)
 
 
-def kappa(n: int = 4) -> PairPermutation:
+def kappa() -> PairPermutation:
     """The correlation u -> I \\ u on the 2-subsets of a 4-element set."""
-    if n != 4:
-        raise ValueError("correlation undefined")
     full = {1, 2, 3, 4}
     d = {u: tuple(sorted(full - set(u))) for u in pairs_of(4)}
     return pair_perm_from_dict(4, d, "kappa", identity(4))
@@ -177,6 +175,9 @@ def kappa_composed(phi: Permutation) -> PairPermutation:
         raise ValueError("correlation undefined")
     comp = kappa().compose(induced_pair_map(phi))
     return PairPermutation(comp.n, comp.mapping, "kappa", phi)
+
+
+LIFTS = {"induced": induced_pair_map, "kappa": kappa_composed}
 
 
 def star(i: int, n: int) -> frozenset[tuple[int, int]]:

@@ -9,7 +9,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center)
@@ -169,7 +169,7 @@ def _c_points(sigma, coords):
         coords[c_point(i, j)] = meet(la, lb)
 
 
-def _parse_params(text_or_dict, names):
+def _parse_params(text_or_dict, names, scanned):
     if isinstance(text_or_dict, dict):
         d = dict(text_or_dict)
     else:
@@ -180,6 +180,9 @@ def _parse_params(text_or_dict, names):
     missing = [n for n in names if n not in d]
     if missing:
         raise IncidenceError(f"missing parameters {missing}")
+    unknown = sorted(set(d) - set(names) - {scanned})
+    if unknown:
+        raise IncidenceError(f"unknown parameters {unknown}")
     return {k: Fraction(v) for k, v in d.items()}
 
 
@@ -219,13 +222,13 @@ def parametric_realization(case: str, params) -> Realization:
 
     Each case has one remaining degree of freedom, its scanned parameter
     (alpha2 for c4, x for c3f); when not supplied it is filled by a
-    deterministic scan for a value making the realization faithful.  The
-    dependent coordinates are computed from the incidence constraints; the
-    result is always verified."""
+    deterministic scan for a value making the realization faithful; any other
+    parameter is an error.  The dependent coordinates are computed from the
+    incidence constraints; the result is always verified."""
     if case not in PARAMETRIC_CASES:
         raise IncidenceError(f"unknown case {case!r}")
     skew, given, scanned, k = PARAMETRIC_CASES[case]
-    p = _parse_params(params, given)
+    p = _parse_params(params, given, scanned)
     spec = perm_spec(4, skew)
     config = skew_perspective(spec)
     for value in [p[scanned]] if scanned in p else _SCAN:
@@ -272,19 +275,13 @@ def fez_closure_witness():
     small = [Fraction(v) for v in
              (1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2),
               Fraction(1, 3), 4, 5)]
-    for a1c in small:
-        for a2c in small:
-            for xc in small:
-                for tc in small:
-                    try:
-                        coords = _fez_attempt(a1c, a2c, xc, tc)
-                    except (ZeroDivisionError, IncidenceError):
-                        continue
-                    if coords is None:
-                        continue
-                    ok, _ = verify_realization(config, coords, withheld=withheld)
-                    if ok and not collinear(*(coords[x] for x in withheld)):
-                        return config, coords, withheld
+    for alpha1, alpha2, x, t in product(small, repeat=4):
+        try:
+            coords = _fez_attempt(alpha1, alpha2, x, t)
+            if not closure_check(config, coords, withheld):
+                return config, coords, withheld
+        except (ZeroDivisionError, IncidenceError):
+            continue
     raise IncidenceError("no witness found in the search range")
 
 

@@ -1,13 +1,15 @@
-"""Test-only reference helpers: brute-force permutation-group computations
-and the alternate-center condition.  They back claims the tests check; the
-library itself does not need them.
+"""Test-only reference helpers: brute-force permutation-group computations,
+the alternate-center condition, the empty graph and the Veronesian two-letter
+clique candidates.  They back claims the tests check; the library itself does
+not need them.
 """
 
 from itertools import combinations, permutations
 
 from perspectra.analysis import third_graph_criterion
 from perspectra.families import SkewPerspectiveSpec, _line_pair_sets
-from perspectra.incidence import IncidenceError, c_point, third_point
+from perspectra.incidence import (IncidenceError, c_point, free_point,
+                                  third_point)
 from perspectra.perms import (Permutation, all_permutations, cycle_type,
                               induced_pair_map, kappa_composed)
 
@@ -126,3 +128,15 @@ def movecenter_condition(spec: SkewPerspectiveSpec, i0: int):
         if ok:
             return tau
     return None
+
+
+def empty_graph(n: int):
+    return set()
+
+
+def veronesian_two_letter_set(k: int, x: str, y: str):
+    """The clique candidate X_{x,y}: all degree-k multisets using only x, y."""
+    out = []
+    for i in range(k + 1):
+        out.append(free_point("".join(sorted(x * (k - i) + y * i))))
+    return out

@@ -15,8 +15,7 @@ from perspectra.incidence import a_point, b_point, c_point, center, free_point
 from perspectra.families import (apply_pair_map_to_axis, enumerate_veblen,
                                  grassmannian, kantor, kappa_spec, multiveblen,
                                  path_graph, perm_spec, quasi_grassmannian,
-                                 skew_perspective, veblen_catalog, veronesian,
-                                 veronesian_two_letter_set)
+                                 skew_perspective, veblen_catalog, veronesian)
 from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  free_count, preserves_intersection,
                                  reperspective)
@@ -27,6 +26,8 @@ from perspectra.iso import are_isomorphic, criterion_iso
 from perspectra.realize import (closure_check, embed_search,
                                 fez_closure_witness, parametric_realization,
                                 verify_realization)
+
+from reference import veronesian_two_letter_set
 
 
 def test_criterion_01_n3_classification():

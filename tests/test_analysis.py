@@ -9,12 +9,11 @@ from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  third_graph_criterion)
 from perspectra.families import (desargues, grassmannian, kappa_spec,
                                  perm_spec, quasi_grassmannian,
-                                 skew_perspective, veronesian,
-                                 veronesian_two_letter_set, zeta)
+                                 skew_perspective, veronesian, zeta)
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, pairs_of, star)
 
-from reference import movecenter_condition
+from reference import movecenter_condition, veronesian_two_letter_set
 
 
 def test_free_containment_in_grassmannian():

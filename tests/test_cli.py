@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, output files, exit codes."""
 
 import ast
+import collections
 import json
 import os
 import subprocess
@@ -138,6 +139,16 @@ def test_realize_rejects_mismatched_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_realize_rejects_unknown_parameters(tmp_path, capsys):
+    path = _construct(tmp_path, "c4.json", "--family", "skew", "--n", "4",
+                      "--skew", "(1,2,3,4)")
+    assert run(["realize", str(path), "--case", "c4",
+                "--params", "beta2=2,x=2,y=2,beta1=5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown parameters ['beta1']\n"
+
+
 def test_search_pg_command(tmp_path, capsys):
     path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
                       "--skew", "id")
@@ -260,6 +271,27 @@ def test_runtime_imports_only_the_standard_library():
     assert added <= sys.stdlib_module_names, sorted(added - sys.stdlib_module_names)
 
 
+def test_src_names_are_used_or_exported():
+    # every top-level function and class of src/perspectra is referenced by
+    # another top-level statement of src/, or exported by the package
+    def names(node):
+        return {sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))}
+
+    src = Path(perspectra.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    exported = {alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    nodes = [node for tree in trees.values() for node in tree.body]
+    refs = collections.Counter(name for node in nodes for name in names(node))
+    unused = sorted(node.name for node in nodes
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and refs[node.name] == (node.name in names(node))
+                    and node.name not in exported)
+    assert unused == []
+
+
 @pytest.mark.parametrize("data", [
     {"points": ["x", "y", "z"], "lines": [[0, 1, -1]]},
     {"points": ["x", "y", "z"], "lines": [[0, 1, 5]]},
@@ -281,6 +313,17 @@ def test_search_pg_rejects_four_point_line(tmp_path, capsys):
     path.write_text(json.dumps(bad))
     assert run(["search-pg", str(path), "--q", "7"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["construct", "--family", "gras"], ["census", "--family", "perm"],
+    ["realize", "x.json", "--case", "c4", "--params", "beta2=2,x=2,y=2"],
+    ["export", "x.json"]])
+def test_json_flag_only_where_it_is_read(command):
+    # these subcommands always write JSON, so --json is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--json"])
+    assert exc.value.code == 2
 
 
 def test_unused_flags_are_gone(tmp_path):

@@ -10,14 +10,15 @@ from perspectra.incidence import (ConfigurationSignature, IncidenceError,
 from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  apply_pair_map_to_axis, complete_graph,
                                  count_star_lines, count_top_lines, desargues,
-                                 empty_graph, enumerate_veblen, fez,
-                                 grassmannian, kantor, kappa_spec, multiveblen,
-                                 path_graph, perm_spec, quasi_grassmannian,
+                                 enumerate_veblen, fez, grassmannian, kantor,
+                                 kappa_spec, multiveblen, path_graph,
+                                 perm_spec, quasi_grassmannian,
                                  quasi_grassmannian_perm, skew_perspective,
-                                 veblen_catalog, veronesian,
-                                 veronesian_two_letter_set, zeta)
+                                 veblen_catalog, veronesian, zeta)
 from perspectra.perms import cycle_type, kappa, pairs_of
 from perspectra.iso import are_isomorphic
+
+from reference import empty_graph, veronesian_two_letter_set
 
 
 def test_skew_perspective_signature():

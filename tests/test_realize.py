@@ -2,6 +2,7 @@
 PG(2,q) embedding search."""
 
 import hashlib
+import re
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -78,6 +79,18 @@ def test_parametric_rejects_degenerate_and_unknown():
         parametric_realization("c4", {"beta2": 2})
     with pytest.raises(IncidenceError):
         parametric_realization("c5", {"beta2": 2, "x": 2, "y": 2})
+
+
+@pytest.mark.parametrize("case, params, unknown", [
+    ("c3f", {"beta1": 5, "beta2": 2, "y": 2, "alpha2": 3}, "['alpha2']"),
+    ("c4", {"beta2": 2, "x": 2, "y": 2, "beta1": 5, "bogus": 7},
+     "['beta1', 'bogus']"),
+    ("c4", "beta2=2, x=2, y=2, beta1=5", "['beta1']"),
+])
+def test_parametric_rejects_unknown_parameters(case, params, unknown):
+    message = re.escape(f"unknown parameters {unknown}")
+    with pytest.raises(IncidenceError, match=message):
+        parametric_realization(case, params)
 
 
 def test_explicit_free_parameter_respected():
