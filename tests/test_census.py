@@ -150,6 +150,8 @@ def test_canonical_output_is_pinned(census_report):
         (grassmannian(5), "ce33c1d30027b16a4239e944dc1932e8ad1c1481af879eab109c6d1034964828"),
         (grassmannian(6), "2b8818a2f271a36065143f3605173cdfe7a9b741541235b15b6a034f268b3fba"),
         (grassmannian(7), "746b91de71988363fa9ec3d1b68ce6415e0cc7dd05b6dd231777712329052ae7"),
+        (grassmannian(8), "ccba9033ef168042514f809d41f854d73892c25f13c9bf01b2d4cdfb9e9a1d2e"),
+        (grassmannian(9), "dca1d7fd73db837260fff0a35711dd9f1c07ce4e8ef8e47cbfbc1bf006999ca7"),
     ]
     for config, cert in pinned:
         assert canonical_form(config).cert == cert

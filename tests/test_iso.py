@@ -2,6 +2,7 @@
 criterion-based tests for the skew families."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,15 +31,18 @@ def test_canonical_form_separates_the_three_triangle_types():
 
 
 def test_automorphism_counts_of_grassmannians():
-    # oracle: Aut(G(n,2)) = S_n for n >= 5; G(4,2) gains the correlation
-    assert automorphism_count(grassmannian(4)) == 24
-    assert automorphism_count(grassmannian(5)) == 120
-    assert automorphism_count(grassmannian(6)) == 720
-    assert automorphism_count(grassmannian(7)) == 5040
+    # oracle: Aut(G(n,2)) = S_n acting on the 2-subsets of {1..n}
+    for n in range(4, 10):
+        assert automorphism_count(grassmannian(n)) == math.factorial(n)
 
 
 def test_automorphism_count_desargues():
     assert automorphism_count(desargues()) == 120
+
+
+def test_automorphism_counts_of_fez_and_kantor():
+    assert automorphism_count(fez()) == 6
+    assert automorphism_count(kantor()) == 12
 
 
 @settings(deadline=None, max_examples=25)
