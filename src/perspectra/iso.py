@@ -3,10 +3,14 @@
 Canonical forms are computed by a refinement/individualization backtracking
 search over point orderings.  The refinement invariant iterates (current
 color, multiset of ranks of the point's lines) to a fixed point, seeded with
-the count of maximal free cliques through each point.  Discovered
-automorphisms prune the search via path-stabilizer orbits, so highly
-symmetric inputs stay cheap; equality of canonical line lists is equivalent
-to isomorphism.
+the count of maximal free cliques through each point; equality of canonical
+line lists is equivalent to isomorphism.  A leaf equal to the best leaf is an
+automorphism.  It is stored, and the search jumps back to where the two paths
+part, since the rest of that subtree is an image of an explored one.
+Candidates in one orbit of the stored automorphisms fixing the path share
+one subtree.  No group is built: |Aut| is the number of leaves of the
+unpruned tree equal to the best leaf, counted as the search prunes
+(McKay & Piperno, J. Symb. Comput. 60, 2014).
 """
 
 from __future__ import annotations
@@ -51,6 +55,10 @@ def _initial_colors(config: Configuration) -> list[int]:
     return [lut[(ranks[i], counts[i])] for i in range(n)]
 
 
+class _Jump(Exception):
+    """Unwind the search to the node at level args[0] of the current path."""
+
+
 class _CanonSearch:
     def __init__(self, n, lines):
         self.n = n
@@ -59,11 +67,8 @@ class _CanonSearch:
         for index, line in enumerate(lines):
             for v in line:
                 self.lines_of_point[v].append(index)
-        self.best_lines = None
-        self.best_perm = None
-        self.best_inv = None
+        self.best_lines = self.best_perm = self.best_path = None
         self.gens = []
-        self.group = {tuple(range(n))}
         self.nodes = self.leaves = self.rounds = 0
 
     def refine(self, colors):
@@ -88,72 +93,65 @@ class _CanonSearch:
                 return colors
             cells = len(lut)
 
-    def _add_generator(self, g):
-        if g in self.group:
-            return
-        self.gens.append(g)
-        ident = tuple(range(self.n))
-        group = {ident}
-        frontier = [ident]
-        while frontier:
-            h = frontier.pop()
-            for k in self.gens:
-                p = tuple(k[x] for x in h)
-                if p not in group:
-                    group.add(p)
-                    frontier.append(p)
-        self.group = group
-
-    def _leaf(self, colors):
+    def _leaf(self, colors, path):
+        """1 for a new best leaf, 0 for a worse one; a leaf equal to the best
+        is an automorphism: store it and jump back to where the paths part."""
         self.leaves += 1
         perm = tuple(colors)
         canon = tuple(sorted(tuple(sorted(perm[u] for u in line))
                              for line in self.lines))
         if self.best_lines is None or canon < self.best_lines:
-            self.best_lines = canon
-            self.best_perm = perm
-            inv = [0] * self.n
-            for v in range(self.n):
-                inv[perm[v]] = v
-            self.best_inv = tuple(inv)
-        elif canon == self.best_lines:
-            g = tuple(self.best_inv[perm[v]] for v in range(self.n))
-            self._add_generator(g)
+            self.best_lines, self.best_perm, self.best_path = canon, perm, path
+            return 1
+        if canon > self.best_lines:
+            return 0
+        inv = sorted(range(self.n), key=self.best_perm.__getitem__)
+        self.gens.append(tuple(inv[perm[v]] for v in range(self.n)))
+        raise _Jump(next(i for i, (u, w) in enumerate(zip(path, self.best_path))
+                         if u != w))
+
+    def _orbit(self, v, path):
+        """Orbit of v under the stored automorphisms that fix path pointwise."""
+        stab = [g for g in self.gens if all(g[x] == x for x in path)]
+        orbit, frontier = {v}, [v]
+        while frontier:
+            w = frontier.pop()
+            for u in {g[w] for g in stab} - orbit:
+                orbit.add(u)
+                frontier.append(u)
+        return orbit
 
     def run(self, colors, path):
+        """Number of leaves below this node, pruned ones included, that equal
+        the best leaf found so far."""
         self.nodes += 1
         cells = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1),
+                      None)
         if target is None:
-            self._leaf(colors)
-            return
-        done = set()
+            return self._leaf(colors, path)
+        tally = {}               # candidate -> its count; explored or pruned
         for v in target:
-            if v in done:
+            if v in tally:
                 continue
-            # skip candidates in the orbit of an explored one under the
-            # path-stabilizer of the automorphisms found so far
-            stab = [g for g in self.group
-                    if all(g[x] == x for x in path)]
-            orbit = {v}
-            frontier = [v]
-            while frontier:
-                w = frontier.pop()
-                for g in stab:
-                    u = g[w]
-                    if u not in orbit:
-                        orbit.add(u)
-                        frontier.append(u)
-            done |= orbit
+            best = self.best_lines
             new = [2 * c for c in colors]
             new[v] -= 1
-            self.run(self.refine(new), path + [v])
+            try:
+                count = self.run(self.refine(new), path + [v])
+            except _Jump as jump:
+                if jump.args[0] < len(path):
+                    raise
+                # v's subtree is the image of the best path's sibling
+                count = tally[self.best_path[len(path)]]
+            if self.best_lines is not best:
+                # no earlier leaf equals a new best
+                tally = dict.fromkeys(tally, 0)
+            for u in self._orbit(v, path):
+                tally.setdefault(u, count)
+        return sum(tally.values())
 
 
 # Forms keyed by (point count, lines), least recently used evicted first: a
@@ -174,13 +172,13 @@ def canonical_form(config: Configuration) -> CanonicalForm:
     start = time.perf_counter()
     n = len(config.points)
     search = _CanonSearch(n, config.lines)
-    search.run(search.refine(_initial_colors(config)), [])
+    aut_order = search.run(search.refine(_initial_colors(config)), [])
     cert = hashlib.sha256(repr((n, search.best_lines)).encode()).hexdigest()
     stats = {"nodes": search.nodes, "leaves": search.leaves,
              "refine_rounds": search.rounds, "generators": len(search.gens),
              "elapsed_s": time.perf_counter() - start}
     form = CanonicalForm(search.best_perm, search.best_lines, cert,
-                         len(search.group), stats)
+                         aut_order, stats)
     _canon_cache[key] = form
     if len(_canon_cache) > _CANON_CACHE_SIZE:
         del _canon_cache[next(iter(_canon_cache))]

@@ -173,10 +173,12 @@ def _parse_params(text_or_dict, names, scanned):
     if isinstance(text_or_dict, dict):
         d = dict(text_or_dict)
     else:
-        d = {}
-        for part in str(text_or_dict).split(","):
-            k, _, v = part.partition("=")
-            d[k.strip()] = Fraction(v.strip())
+        pairs = [part.partition("=") for part in str(text_or_dict).split(",")]
+        keys = [k.strip() for k, _, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise IncidenceError(f"repeated parameters {repeated}")
+        d = {k: Fraction(v.strip()) for k, (_, _, v) in zip(keys, pairs)}
     missing = [n for n in names if n not in d]
     if missing:
         raise IncidenceError(f"missing parameters {missing}")

@@ -11,14 +11,13 @@ from itertools import combinations
 import pytest
 
 import perspectra as ps
-from perspectra.incidence import a_point, b_point, c_point, center, free_point
+from perspectra.incidence import free_point
 from perspectra.families import (apply_pair_map_to_axis, enumerate_veblen,
-                                 grassmannian, kantor, kappa_spec, multiveblen,
-                                 path_graph, perm_spec, quasi_grassmannian,
+                                 grassmannian, kantor, multiveblen, path_graph,
+                                 perm_spec, quasi_grassmannian,
                                  skew_perspective, veblen_catalog, veronesian)
-from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
-                                 free_count, preserves_intersection,
-                                 reperspective)
+from perspectra.analysis import (free_complete_subgraphs, free_count,
+                                 preserves_intersection, reperspective)
 from perspectra.perms import (Permutation, all_permutations, cycle_type,
                               induced_pair_map, kappa_composed, pairs_of,
                               partitions)

@@ -8,8 +8,7 @@ import pytest
 from perspectra.incidence import IncidenceError
 from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                PAPER_PERM_TOTAL, SCHEMA_VERSION,
-                               census_n4, classify_grasaxis, full_census,
-                               identify)
+                               census_n4, classify_grasaxis, identify)
 from perspectra.families import (desargues, fez, grassmannian, kantor,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective)

@@ -149,6 +149,16 @@ def test_realize_rejects_unknown_parameters(tmp_path, capsys):
     assert captured.err == "error: unknown parameters ['beta1']\n"
 
 
+def test_realize_rejects_repeated_parameters(tmp_path, capsys):
+    path = _construct(tmp_path, "c4.json", "--family", "skew", "--n", "4",
+                      "--skew", "(1,2,3,4)")
+    assert run(["realize", str(path), "--case", "c4",
+                "--params", "beta2=2,x=2,y=2,beta2=3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated parameters ['beta2']\n"
+
+
 def test_search_pg_command(tmp_path, capsys):
     path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
                       "--skew", "id")
@@ -289,6 +299,19 @@ def test_src_names_are_used_or_exported():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and refs[node.name] == (node.name in names(node))
                     and node.name not in exported)
+    assert unused == []
+
+
+def test_test_imports_are_used():
+    # every name a test module takes with `from ... import` is used in it
+    unused = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in used]
     assert unused == []
 
 

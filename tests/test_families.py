@@ -5,8 +5,8 @@ from math import comb
 
 import pytest
 
-from perspectra.incidence import (ConfigurationSignature, IncidenceError,
-                                  a_point, b_point, c_point, center, verify)
+from perspectra.incidence import (IncidenceError, a_point, b_point, c_point,
+                                  center, verify)
 from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  apply_pair_map_to_axis, complete_graph,
                                  count_star_lines, count_top_lines, desargues,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perspectra import iso
-from perspectra.incidence import Configuration, IncidenceError, free_point, verify
+from perspectra.incidence import Configuration, IncidenceError, free_point
 from perspectra.families import (SkewPerspectiveSpec, desargues, fez,
                                  grassmannian, kantor, kappa_spec, perm_spec,
                                  skew_perspective, veblen_catalog, zeta)
@@ -65,13 +65,56 @@ def test_canonical_form_stats(config):
     stats = form.stats
     assert set(stats) == {"nodes", "leaves", "refine_rounds", "generators",
                           "elapsed_s"}
-    # one refinement per node and at least one round each; every generator
-    # at least doubles the group found so far
+    # one refinement per node and at least one round each; generators
+    # counts the automorphisms the search stored, one per leaf equal to the
+    # best, so it need not stay within log2 |Aut|, though it does here
     assert 1 <= stats["leaves"] <= stats["nodes"] <= stats["refine_rounds"]
     assert 1 <= 2 ** stats["generators"] <= form.aut_order
     assert stats["elapsed_s"] > 0
     # stats are not part of the form's identity
     assert form == dataclasses.replace(form, stats={})
+
+
+def _search(config):
+    """Run the canonical search by hand: (search, counted |Aut|)."""
+    search = iso._CanonSearch(len(config.points), config.lines)
+    return search, search.run(search.refine(iso._initial_colors(config)), [])
+
+
+def test_stored_automorphisms_generate_the_counted_group(census_report):
+    # oracle: sympy's Schreier-Sims order of the group the stored
+    # automorphisms generate equals the search's leaf count
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    configs = [skew_perspective(e.representative) for e in census_report.entries]
+    assert len(configs) == 68
+    for config in configs + [grassmannian(n) for n in range(4, 10)]:
+        search, order = _search(config)
+        assert order == canonical_form(config).aut_order
+        points = config.points
+        for g in search.gens:
+            assert is_isomorphism(config, config,
+                                  {points[v]: points[g[v]] for v in range(len(g))})
+        gens = [combinatorics.Permutation(list(g)) for g in search.gens]
+        identity = combinatorics.Permutation(len(points) - 1)
+        assert combinatorics.PermutationGroup(gens or [identity]).order() == order
+
+
+@pytest.mark.parametrize("config", [desargues(), fez(), kantor(), grassmannian(4),
+                                    grassmannian(5)],
+                         ids=["desargues", "fez", "kantor", "G4", "G5"])
+def test_automorphism_count_matches_vf2(config):
+    # oracle: VF2 counts the automorphisms of the point-line incidence graph
+    # that keep points and lines apart
+    nx = pytest.importorskip("networkx")
+    levi = nx.Graph()
+    levi.add_nodes_from((("p", v) for v in range(len(config.points))), kind="p")
+    levi.add_nodes_from((("l", i) for i in range(len(config.lines))), kind="l")
+    levi.add_edges_from((("p", v), ("l", i))
+                        for i, line in enumerate(config.lines) for v in line)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        levi, levi, node_match=lambda a, b: a["kind"] == b["kind"])
+    assert sum(1 for _ in matcher.isomorphisms_iter()) == \
+        automorphism_count(config)
 
 
 def test_are_isomorphic_returns_checked_witness():

@@ -12,9 +12,9 @@ from perspectra.incidence import (Configuration, IncidenceError, a_point,
                                   b_point, center, free_point)
 from perspectra.families import (desargues, fez, kantor, perm_spec,
                                  skew_perspective)
-from perspectra.realize import (EmbedResult, closure_check, collinear, cross,
-                                embed_search, fez_closure_witness,
-                                galois_field, line_through, meet, normalize,
+from perspectra.realize import (closure_check, collinear, embed_search,
+                                fez_closure_witness, galois_field,
+                                line_through, meet, normalize,
                                 parametric_realization, pg2q_points,
                                 verify_pg_embedding, verify_realization)
 from perspectra.realize import _plane
@@ -91,6 +91,17 @@ def test_parametric_rejects_unknown_parameters(case, params, unknown):
     message = re.escape(f"unknown parameters {unknown}")
     with pytest.raises(IncidenceError, match=message):
         parametric_realization(case, params)
+
+
+@pytest.mark.parametrize("params, repeated", [
+    ("beta2=2,x=2,y=2,beta2=3", "['beta2']"),
+    ("beta2=2, y=2, x=2, y=2, x=3", "['x', 'y']"),
+])
+def test_parametric_rejects_repeated_parameters(params, repeated):
+    # a repeated key would otherwise keep only its last value
+    message = re.escape(f"repeated parameters {repeated}")
+    with pytest.raises(IncidenceError, match=message):
+        parametric_realization("c4", params)
 
 
 def test_explicit_free_parameter_respected():
