@@ -75,12 +75,6 @@ def test_canonical_form_stats(config):
     assert form == dataclasses.replace(form, stats={})
 
 
-def _search(config):
-    """Run the canonical search by hand: (search, counted |Aut|)."""
-    search = iso._CanonSearch(len(config.points), config.lines)
-    return search, search.run(search.refine(iso._initial_colors(config)), [])
-
-
 def test_stored_automorphisms_generate_the_counted_group(census_report):
     # oracle: sympy's Schreier-Sims order of the group the stored
     # automorphisms generate equals the search's leaf count
@@ -88,7 +82,8 @@ def test_stored_automorphisms_generate_the_counted_group(census_report):
     configs = [skew_perspective(e.representative) for e in census_report.entries]
     assert len(configs) == 68
     for config in configs + [grassmannian(n) for n in range(4, 10)]:
-        search, order = _search(config)
+        search = iso._CanonSearch(len(config.points), config.lines)
+        order = search.run(search.refine(iso._initial_colors(config)), [])
         assert order == canonical_form(config).aut_order
         points = config.points
         for g in search.gens:
