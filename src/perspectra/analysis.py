@@ -13,6 +13,7 @@ from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
 from .families import SkewPerspectiveSpec, skew_perspective
+from .iso import are_isomorphic
 
 
 def is_freely_contained(config: Configuration, vertices) -> bool:
@@ -43,16 +44,16 @@ class FreeGraphReport:
     free_sets: tuple
 
 
-def _clique_levels(adj: list[set[int]]):
-    """Every clique, one list per size (0, 1, 2, ...) up to the largest, each
-    in lexicographic order.  A clique carries the bitmask of its common
-    neighbours above its last vertex, and grows only by those."""
+def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
+    """Every m-clique in lexicographic order, grown one vertex per level.  A
+    clique carries the bitmask of its common neighbours above its last
+    vertex, and grows only by those."""
     later = [sum(1 << w for w in nbrs if w > v) for v, nbrs in enumerate(adj)]
     level = [((), (1 << len(adj)) - 1)]
-    while level:
-        yield [clique for clique, _ in level]
+    while level and len(level[0][0]) < m:
         level = [(clique + (w,), common & later[w])
                  for clique, common in level for w in _bits(common)]
+    return [clique for clique, _ in level]
 
 
 def _bits(mask: int):
@@ -60,13 +61,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
-    for size, level in enumerate(_clique_levels(adj)):
-        if size == m:
-            return level
-    return []
 
 
 def free_complete_subgraphs(config: Configuration, m: int):
@@ -194,7 +188,6 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
     axis = Configuration.build(
         [c_point(i, j) for i, j in pairs_of(n)], axis_lines)
     spec = SkewPerspectiveSpec(n, delta, axis)
-    from .iso import are_isomorphic  # local: iso imports this module
     rebuilt = skew_perspective(spec)
     if are_isomorphic(rebuilt, config) is None:
         raise IncidenceError("reperspective round-trip failed")

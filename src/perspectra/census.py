@@ -45,7 +45,7 @@ class CensusEntry:
         }
 
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _entry_invariants(spec: SkewPerspectiveSpec, config: Configuration) -> dict:

@@ -76,6 +76,9 @@ def _resolve_graph(text: str, n: int):
 
 def _cmd_construct(args):
     n = args.n
+    if n != 4 and (args.family == "zeta" or args.family == "skew" and args.kappa):
+        what = "zeta" if args.family == "zeta" else "kappa"
+        raise IncidenceError(f"the {what} skew is only defined for n=4")
     if args.family == "gras":
         config = grassmannian(n)
     elif args.family == "veronese":

@@ -38,10 +38,8 @@ class PointLabel:
     def __str__(self):
         if self.kind == "p":
             return "p"
-        if self.kind == "a":
-            return f"a{self.key[0]}"
-        if self.kind == "b":
-            return f"b{self.key[0]}"
+        if self.kind in ("a", "b"):
+            return f"{self.kind}{self.key[0]}"
         if self.kind == "c":
             return "c{%d,%d}" % self.key
         return self.key[0]
@@ -73,20 +71,16 @@ def free_point(name: str) -> PointLabel:
     return PointLabel("free", (name,))
 
 
-_A_RE = re.compile(r"^a(\d+)$")
-_B_RE = re.compile(r"^b(\d+)$")
+_AB_RE = re.compile(r"^([ab])(\d+)$")
 _C_RE = re.compile(r"^c\{(\d+),(\d+)\}$")
 
 
 def parse_label(text: str) -> PointLabel:
     if text == "p":
         return center()
-    m = _A_RE.match(text)
+    m = _AB_RE.match(text)
     if m:
-        return a_point(int(m.group(1)))
-    m = _B_RE.match(text)
-    if m:
-        return b_point(int(m.group(1)))
+        return PointLabel(m.group(1), (int(m.group(2)),))
     m = _C_RE.match(text)
     if m:
         return c_point(int(m.group(1)), int(m.group(2)))
@@ -240,10 +234,7 @@ def third_point(config: Configuration, x: PointLabel, y: PointLabel):
     line = join(config, x, y)
     if line is None or len(line) != 3:
         return None
-    for lab in line:
-        if lab != x and lab != y:
-            return lab
-    return None
+    return next(lab for lab in line if lab != x and lab != y)
 
 
 def adjacency_indices(config: Configuration) -> list[set[int]]:

@@ -3,8 +3,8 @@
 Canonical forms are computed by a refinement/individualization backtracking
 search over point orderings.  The refinement invariant iterates (current
 color, multiset of ranks of the point's lines) to a fixed point, seeded with
-the count of maximal free cliques through each point; equality of canonical
-line lists is equivalent to isomorphism.  A leaf equal to the best leaf is an
+each point's rank and triangle count; equality of canonical line lists is
+equivalent to isomorphism.  A leaf equal to the best leaf is an
 automorphism.  It is stored, and the search jumps back to where the two paths
 part, since the rest of that subtree is an image of an explored one.
 Candidates in one orbit of the stored automorphisms fixing the path share
@@ -15,17 +15,16 @@ unpruned tree equal to the best leaf, counted as the search prunes
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .incidence import (Configuration, IncidenceError, a_point,
-                        adjacency_indices, b_point, c_point, center,
-                        require_partial_linear)
+from .incidence import (Configuration, IncidenceError, a_point, b_point,
+                        c_point, center, require_partial_linear)
 from .perms import LIFTS, all_permutations, induced_pair_map, pairs_of
 from .families import (SkewPerspectiveSpec, _line_pair_sets,
                        apply_pair_map_to_axis, skew_perspective)
-from .analysis import _clique_levels, is_freely_contained
 
 
 @dataclass(frozen=True)
@@ -36,23 +35,6 @@ class CanonicalForm:
     aut_order: int
     # work done: nodes, leaves, refine_rounds, generators, elapsed_s
     stats: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-def _initial_colors(config: Configuration) -> list[int]:
-    """Isomorphism-invariant seed: rank plus free-clique membership counts at
-    the collinearity graph's maximum clique size."""
-    n = len(config.points)
-    *_, top = _clique_levels(adjacency_indices(config))
-    counts = [0] * n
-    if len(top[0]) >= 3:
-        for cl in top:
-            if is_freely_contained(config, [config.points[i] for i in cl]):
-                for i in cl:
-                    counts[i] += 1
-    ranks = config.ranks()
-    sigs = sorted(set(zip(ranks, counts)))
-    lut = {s: i for i, s in enumerate(sigs)}
-    return [lut[(ranks[i], counts[i])] for i in range(n)]
 
 
 class _Jump(Exception):
@@ -70,6 +52,18 @@ class _CanonSearch:
         self.best_lines = self.best_perm = self.best_path = None
         self.gens = []
         self.nodes = self.leaves = self.rounds = 0
+
+    def seed(self):
+        """Color each point by its rank and by the sum, over the points u it
+        shares a line with, of the points collinear with both: with one line
+        size this orders the points as (rank, triangles through the point)
+        would (nauty's adjtriang invariant)."""
+        near = [set().union(*(self.lines[i] for i in lines)) - {v}
+                for v, lines in enumerate(self.lines_of_point)]
+        sigs = [(len(lines), sum(len(near[v] & near[u]) for u in near[v]))
+                for v, lines in enumerate(self.lines_of_point)]
+        lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        return [lut[s] for s in sigs]
 
     def refine(self, colors):
         """Split cells by (color, sorted ranks of the point's lines) until a
@@ -154,35 +148,24 @@ class _CanonSearch:
         return sum(tally.values())
 
 
-# Forms keyed by (point count, lines), least recently used evicted first: a
-# dict keeps insertion order, so a hit is re-inserted at the end and the first
-# key is the oldest.  The size holds the n=4 census (1442 forms) plus one
-# relabelled pass over its 1440 instances.
-_CANON_CACHE_SIZE = 4096
-_canon_cache: dict = {}
-
-
 def canonical_form(config: Configuration) -> CanonicalForm:
     require_partial_linear(config)
-    key = (len(config.points), config.lines)
-    hit = _canon_cache.pop(key, None)
-    if hit is not None:
-        _canon_cache[key] = hit
-        return hit
+    return _canonical(len(config.points), config.lines)
+
+
+# The size holds the n=4 census (1442 forms) plus one relabelled pass over
+# its 1440 instances.
+@functools.lru_cache(maxsize=4096)
+def _canonical(n: int, lines: tuple) -> CanonicalForm:
     start = time.perf_counter()
-    n = len(config.points)
-    search = _CanonSearch(n, config.lines)
-    aut_order = search.run(search.refine(_initial_colors(config)), [])
+    search = _CanonSearch(n, lines)
+    aut_order = search.run(search.refine(search.seed()), [])
     cert = hashlib.sha256(repr((n, search.best_lines)).encode()).hexdigest()
     stats = {"nodes": search.nodes, "leaves": search.leaves,
              "refine_rounds": search.rounds, "generators": len(search.gens),
              "elapsed_s": time.perf_counter() - start}
-    form = CanonicalForm(search.best_perm, search.best_lines, cert,
+    return CanonicalForm(search.best_perm, search.best_lines, cert,
                          aut_order, stats)
-    _canon_cache[key] = form
-    if len(_canon_cache) > _CANON_CACHE_SIZE:
-        del _canon_cache[next(iter(_canon_cache))]
-    return form
 
 
 def automorphism_count(config: Configuration) -> int:

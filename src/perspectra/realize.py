@@ -178,14 +178,20 @@ def _parse_params(text_or_dict, names, scanned):
         repeated = sorted({k for k in keys if keys.count(k) > 1})
         if repeated:
             raise IncidenceError(f"repeated parameters {repeated}")
-        d = {k: Fraction(v.strip()) for k, (_, _, v) in zip(keys, pairs)}
+        d = {k: v.strip() for k, (_, _, v) in zip(keys, pairs)}
     missing = [n for n in names if n not in d]
     if missing:
         raise IncidenceError(f"missing parameters {missing}")
     unknown = sorted(set(d) - set(names) - {scanned})
     if unknown:
         raise IncidenceError(f"unknown parameters {unknown}")
-    return {k: Fraction(v) for k, v in d.items()}
+    for k, v in d.items():
+        try:
+            d[k] = Fraction(v)
+        except (ArithmeticError, TypeError, ValueError):
+            raise IncidenceError(f"parameter {k} is not a rational number: "
+                                 f"{v!r}") from None
+    return d
 
 
 # deterministic candidate lists for the remaining free coordinate of each case

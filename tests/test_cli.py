@@ -69,6 +69,19 @@ def test_construct_zeta(tmp_path):
     assert verify(config).as_tuple() == (15, 4, 20, 3)
 
 
+@pytest.mark.parametrize("argv, what", [
+    (["--family", "zeta", "--n", "5"], "zeta"),
+    (["--family", "skew", "--kappa", "--n", "5"], "kappa"),
+    (["--family", "skew", "--kappa", "--n", "3"], "kappa"),
+], ids=["zeta-5", "kappa-5", "kappa-3"])
+def test_construct_rejects_n_of_four_point_families(tmp_path, capsys, argv, what):
+    assert run(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the {what} skew is only defined for n=4\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_verify_reports_violation_with_exit_1(tmp_path, capsys):
     bad = {"points": ["w", "x", "y", "z"], "lines": [[0, 1, 2], [0, 1, 3]]}
     path = tmp_path / "bad.json"
@@ -157,6 +170,16 @@ def test_realize_rejects_repeated_parameters(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: repeated parameters ['beta2']\n"
+
+
+def test_realize_rejects_zero_denominator(tmp_path, capsys):
+    path = _construct(tmp_path, "c4.json", "--family", "skew", "--n", "4",
+                      "--skew", "(1,2,3,4)")
+    assert run(["realize", str(path), "--case", "c4",
+                "--params", "beta2=2,x=2,y=1/0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter y is not a rational number: '1/0'\n"
 
 
 def test_search_pg_command(tmp_path, capsys):
@@ -300,6 +323,20 @@ def test_src_names_are_used_or_exported():
                     and refs[node.name] == (node.name in names(node))
                     and node.name not in exported)
     assert unused == []
+
+
+def test_src_imports_are_at_module_level():
+    # an import inside a function or class body can hide a cycle in the
+    # module graph, which a top-level import would fail on at once
+    src = Path(perspectra.__file__).parent
+    nested = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                nested |= {f"{path.name}:{sub.lineno}" for sub in ast.walk(node)
+                           if isinstance(sub, (ast.Import, ast.ImportFrom))}
+    assert sorted(nested) == []
 
 
 def test_test_imports_are_used():

@@ -2,6 +2,7 @@
 criterion-based tests for the skew families."""
 
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -83,7 +84,7 @@ def test_stored_automorphisms_generate_the_counted_group(census_report):
     assert len(configs) == 68
     for config in configs + [grassmannian(n) for n in range(4, 10)]:
         search = iso._CanonSearch(len(config.points), config.lines)
-        order = search.run(search.refine(iso._initial_colors(config)), [])
+        order = search.run(search.refine(search.seed()), [])
         assert order == canonical_form(config).aut_order
         points = config.points
         for g in search.gens:
@@ -180,19 +181,24 @@ def test_criterion_iso_rejects_general_skews():
 
 
 def test_canonical_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(iso, "_CANON_CACHE_SIZE", 3)
-    monkeypatch.setattr(iso, "_canon_cache", {})
+    cached = functools.lru_cache(maxsize=3)(iso._canonical.__wrapped__)
+    monkeypatch.setattr(iso, "_canonical", cached)
     configs = [desargues(), fez(), kantor(), grassmannian(4), grassmannian(6)]
-    keys = [(len(c.points), c.lines) for c in configs]
     fresh = [dataclasses.replace(canonical_form(c), stats={}) for c in configs]
-    assert list(iso._canon_cache) == keys[2:]
+    info = cached.cache_info
+    assert (info().misses, info().currsize) == (5, 3)   # 2, 3 and 4 kept
     canonical_form(configs[2])          # a hit becomes the most recent
-    canonical_form(configs[0])          # a miss evicts the least recent
-    assert list(iso._canon_cache) == [keys[4], keys[2], keys[0]]
+    canonical_form(configs[0])          # a miss evicts the least recent, 3
+    assert (info().hits, info().misses) == (1, 6)
+    for c in (configs[4], configs[2], configs[0]):
+        canonical_form(c)               # all three kept
+    assert (info().hits, info().misses) == (4, 6)
+    canonical_form(configs[3])          # evicted
+    assert (info().hits, info().misses) == (4, 7)
     # evicted forms are computed again, equal to the first ones
     again = [dataclasses.replace(canonical_form(c), stats={}) for c in configs]
     assert again == fresh
-    assert len(iso._canon_cache) == 3
+    assert info().currsize == 3
 
 
 def test_criterion_matches_generic_on_catalog_axes():

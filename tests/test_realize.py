@@ -104,6 +104,15 @@ def test_parametric_rejects_repeated_parameters(params, repeated):
         parametric_realization("c4", params)
 
 
+@pytest.mark.parametrize("params", [
+    "beta2=2,x=2,y=1/0",
+    {"beta2": 2, "x": 2, "y": "1/0"},
+], ids=["text", "dict"])
+def test_parametric_rejects_zero_denominator(params):
+    with pytest.raises(IncidenceError, match="parameter y is not a rational"):
+        parametric_realization("c4", params)
+
+
 def test_explicit_free_parameter_respected():
     real = parametric_realization(
         "c4", {"beta2": 2, "x": 2, "y": 2, "alpha2": -9})
