@@ -264,24 +264,42 @@ CONFIGS = {"c4": lambda: skew_perspective(perm_spec(4, "(1,2,3,4)")),
            "(1,2,3)": lambda: skew_perspective(perm_spec(4, "(1,2,3)")),
            "Desargues": desargues, "fez": fez, "Kantor": kantor}
 
-# the statuses the suite and the benchmark rely on; each "none" is an
-# exhausted search
-STATUS_TABLE = (
-    [("c4", q, "none") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
-    + [("c4", 17, "found")]
-    + [(name, q, "none") for name in ("(3,4)", "(1,2,3)") for q in (2, 3, 4, 5, 7)]
-    + [("Desargues", q, "none") for q in (2, 3, 4)]
-    + [("Desargues", 5, "found"), ("fez", 5, "none"), ("fez", 7, "found"),
-       ("Kantor", 7, "found")])
+# the statuses the suite and the benchmark rely on, with the exact number of
+# placements tried; each "none" is an exhausted search
+STATUS_TABLE = [
+    ("c4", 2, "none", 4), ("c4", 3, "none", 4), ("c4", 4, "none", 6),
+    ("c4", 5, "none", 13), ("c4", 7, "none", 77), ("c4", 8, "none", 202),
+    ("c4", 9, "none", 483), ("c4", 11, "none", 2087),
+    ("c4", 13, "none", 7569), ("c4", 17, "found", 49),
+    ("(3,4)", 2, "none", 4), ("(3,4)", 3, "none", 4), ("(3,4)", 4, "none", 6),
+    ("(3,4)", 5, "none", 13), ("(3,4)", 7, "none", 69),
+    ("(1,2,3)", 2, "none", 4), ("(1,2,3)", 3, "none", 4),
+    ("(1,2,3)", 4, "none", 6), ("(1,2,3)", 5, "none", 13),
+    ("(1,2,3)", 7, "none", 69),
+    ("Desargues", 2, "none", 4), ("Desargues", 3, "none", 5),
+    ("Desargues", 4, "none", 8), ("Desargues", 5, "found", 18),
+    ("fez", 5, "none", 15), ("fez", 7, "found", 27), ("Kantor", 7, "found", 10),
+]
+
+# sha256 of the sorted (label, point) pairs of each found embedding
+FOUND_DIGESTS = {
+    ("c4", 17): "d6b6e38cbce294fb083e02419506dcbeaa77c665951e3f94305d7a4281c12186",
+    ("Desargues", 5): "4467e9115244b3c8b26cba092b3c41550d4c5daefbaf132e41b51126feac86ac",
+    ("fez", 7): "0b7a01d141e3053eee29c04b57a1ad4ff7df77689101bd2d5963111e72f70369",
+    ("Kantor", 7): "c09bd6e35d3eaa48441c7a30df8fcaa7f685276a375f580891fee6e008c786bd",
+}
 
 
-@pytest.mark.parametrize("name,q,status", STATUS_TABLE)
-def test_embed_search_status_table(name, q, status):
+@pytest.mark.parametrize("name,q,status,nodes", STATUS_TABLE,
+                         ids=[f"{n}-{q}-{s}" for n, q, s, _ in STATUS_TABLE])
+def test_embed_search_status_table(name, q, status, nodes):
     config = CONFIGS[name]()
     result = embed_search(config, q)
-    assert result.status == status
+    assert (result.status, result.nodes) == (status, nodes)
     if status == "found":
         assert verify_pg_embedding(config, result.assignment, q) == (True, "faithful")
+        text = repr(sorted((str(k), v) for k, v in result.assignment.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == FOUND_DIGESTS[name, q]
 
 
 def test_embed_search_agrees_with_reference_solver(census_report):
