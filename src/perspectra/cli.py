@@ -61,12 +61,10 @@ def _resolve_axis(name: str, n: int):
 
 
 def _resolve_graph(text: str, n: int):
-    if text == "complete":
-        return complete_graph(n)
-    if text == "empty":
-        return set()
-    if text == "path":
-        return path_graph(n)
+    named = {"complete": complete_graph, "empty": lambda n: set(),
+             "path": path_graph}
+    if text in named:
+        return named[text](n)
     edges = set()
     for part in text.split(","):
         i, _, j = part.partition("-")
@@ -74,30 +72,35 @@ def _resolve_graph(text: str, n: int):
     return edges
 
 
+# family: (least --n, the optional flags it reads, its builder from n or None)
+_FAMILIES = {"gras": (3, (), grassmannian),
+             "skew": (3, ("skew", "kappa", "axis"), None),
+             "mveb": (3, ("graph", "axis"), None), "veronese": (1, (), veronesian),
+             "quasigras": (4, (), quasi_grassmannian), "zeta": (4, ("axis",), None)}
+
+
 def _cmd_construct(args):
-    n = args.n
-    if n != 4 and (args.family == "zeta" or args.family == "skew" and args.kappa):
-        what = "zeta" if args.family == "zeta" else "kappa"
+    n, family = args.n, args.family
+    least, reads, build = _FAMILIES[family]
+    for flag in ("skew", "kappa", "graph", "axis"):
+        if getattr(args, flag) not in (None, False) and flag not in reads:
+            raise IncidenceError(f"--{flag} does not apply to --family {family}")
+    if n != 4 and (family == "zeta" or args.kappa):
+        what = "kappa" if args.kappa else "zeta"
         raise IncidenceError(f"the {what} skew is only defined for n=4")
-    if args.family == "gras":
-        config = grassmannian(n)
-    elif args.family == "veronese":
-        config = veronesian(n)
-    elif args.family == "quasigras":
-        config = quasi_grassmannian(n)
-    elif args.family == "zeta":
-        axis = _resolve_axis(args.axis, 4)
+    if n < least:
+        raise IncidenceError(f"--n must be at least {least} for --family {family}, got {n}")
+    axis = None if build else _resolve_axis(args.axis or "G", n)
+    if build:
+        config = build(n)
+    elif family == "mveb":
+        config = multiveblen(n, _resolve_graph(args.graph or "complete", n), axis)
+    elif family == "zeta":
         config = skew_perspective(SkewPerspectiveSpec(4, zeta(), axis))
-    elif args.family == "mveb":
-        axis = _resolve_axis(args.axis, n)
-        config = multiveblen(n, _resolve_graph(args.graph, n), axis)
-    else:  # skew
-        axis = _resolve_axis(args.axis, n)
-        if args.kappa:
-            spec = kappa_spec(args.skew or "id", axis)
-        else:
-            spec = perm_spec(n, args.skew or "id", axis)
-        config = skew_perspective(spec)
+    elif args.kappa:
+        config = skew_perspective(kappa_spec(args.skew or "id", axis))
+    else:
+        config = skew_perspective(perm_spec(n, args.skew or "id", axis))
     _emit(to_json(config), args.output)
     return 0
 
@@ -244,15 +247,14 @@ def _build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct")
-    p.add_argument("--family", required=True,
-                   choices=["gras", "skew", "mveb", "veronese", "quasigras", "zeta"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--skew", default=None)
     p.add_argument("--kappa", action="store_true")
-    p.add_argument("--axis", default="G",
-                   help="G, G*, W2, V4, V5, V6 or a JSON file")
-    p.add_argument("--graph", default="complete",
-                   help="complete, empty, path or an edge list like 1-2,2-3")
+    p.add_argument("--axis",
+                   help="G (the default), G*, W2, V4, V5, V6 or a JSON file")
+    p.add_argument("--graph", help="complete (the default), empty, path or "
+                   "an edge list like 1-2,2-3")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_construct)
 

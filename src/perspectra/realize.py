@@ -5,7 +5,6 @@ search into small Desarguesian planes PG(2,q), and line-closure tests.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -69,12 +68,16 @@ class GF:
         return self._inv[a]
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+# the largest q accepted: _plane(q) holds (q^2 + q + 1)^2 bits, and
+# embed_search(desargues(), q) took 1.7 s, 55 MB at 127; 10.6 s, 225 MB at 199
+_MAX_Q = 127
 
 
 def galois_field(q: int) -> GF:
-    if q in _MODULI or _is_prime(q):
+    if q > _MAX_Q:
+        raise IncidenceError(f"no field of order {q} available: "
+                             f"q is above the bound {_MAX_Q}")
+    if q in _MODULI or q >= 2 and all(q % d for d in range(2, q)):
         return GF(q)
     raise IncidenceError(f"no field of order {q} available")
 
@@ -323,26 +326,23 @@ class EmbedResult:
 
 def pg2q_points(q: int):
     """Canonical representatives of the points of PG(2, q)."""
-    f = galois_field(q)
-    pts = [(0, 0, 1)]
-    pts += [(0, 1, z) for z in f.elements]
-    pts += [(1, y, z) for y in f.elements for z in f.elements]
-    return pts
+    e = galois_field(q).elements
+    return ([(0, 0, 1)] + [(0, 1, z) for z in e]
+            + [(1, y, z) for y in e for z in e])
 
 
 @lru_cache(maxsize=8)
 def _plane(q: int):
-    """PG(2, q) as tables: pg2q_points(q), each line's bitmask of point
-    indices, and join[P * size + Q], the line through points P != Q (2 size^2
-    bytes).  Line L has the coordinates (a, b, c) of point L and holds the
-    points with ax + by + cz = 0; (1, y, z) has index 1 + q + qy + z."""
+    """PG(2, q) as pg2q_points(q) and each line's bitmask of point indices.
+    Line L has the coordinates (a, b, c) of point L and holds the points with
+    ax + by + cz = 0; (1, y, z) has index 1 + q + qy + z.  By this polarity
+    line_mask[P] is also the set of lines through P, so the line through
+    P != Q is the one set bit of line_mask[P] & line_mask[Q]."""
     f = galois_field(q)
     add, mul, neg, inv = f._add, f._mul, f._neg, f._inv
     points = pg2q_points(q)
-    size = len(points)
-    join = array("H", [0]) * (size * size)
     line_mask = []
-    for index, (a, b, c) in enumerate(points):
+    for a, b, c in points:
         if c:       # (0, 1, -b/c) and, for each y, (1, y, -(a + by)/c)
             s = mul[neg[inv[c]]]
             on = [1 + s[b]] + [1 + q + q * y + s[add[a][mul[b][y]]]
@@ -353,10 +353,7 @@ def _plane(q: int):
                 if add[a][mul[b][y]] == 0:
                     on += range(1 + q + q * y, 1 + 2 * q + q * y)
         line_mask.append(sum(1 << i for i in on))
-        for i in on:
-            for j in on:
-                join[i * size + j] = index
-    return points, line_mask, join
+    return points, line_mask
 
 
 def _third_points(config: Configuration):
@@ -386,21 +383,21 @@ class _Search:
 
     def __init__(self, third, plane, budget: int):
         self.third = third
-        self.points, self.line_mask, self.join = plane
+        self.points, self.line_mask = plane
         self.budget = budget
         self.nodes = 0
 
     def place(self, v, p, assign, domains):
         """The other domains once v is at p, or None if one empties.  For
-        each placed u, L = join(p, assign[u]) leaves every domain, except that
-        the third point of a line {u, v, w} is confined to L.  These lines
-        meet only at p.  Placed points were checked when they filtered v."""
+        each placed u, the line L through p and assign[u] leaves every
+        domain, but the third point of a line {u, v, w} is confined to L.
+        These lines meet only at p.  Placed points already filtered v."""
         line_mask, third = self.line_mask, self.third[v]
-        row = p * len(self.points)
+        through = line_mask[p]
         forbid = bit = 1 << p
         onto = {}
         for u, pu in assign.items():
-            mask = line_mask[self.join[row + pu]]
+            mask = line_mask[(through & line_mask[pu]).bit_length() - 1]
             forbid |= mask
             if third[u] in domains:
                 onto[third[u]] = mask & ~bit

@@ -82,6 +82,41 @@ def test_construct_rejects_n_of_four_point_families(tmp_path, capsys, argv, what
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "gras", "--n", "5", "--kappa", "--skew", "(1,2)",
+      "--graph", "path"], "--skew does not apply to --family gras"),
+    (["--family", "gras", "--kappa"], "--kappa does not apply to --family gras"),
+    (["--family", "zeta", "--skew", "(1,2)"],
+     "--skew does not apply to --family zeta"),
+    (["--family", "mveb", "--kappa"], "--kappa does not apply to --family mveb"),
+    (["--family", "skew", "--graph", "path"],
+     "--graph does not apply to --family skew"),
+    (["--family", "quasigras", "--graph", "complete"],
+     "--graph does not apply to --family quasigras"),
+    (["--family", "veronese", "--axis", "G"],
+     "--axis does not apply to --family veronese"),
+], ids=["gras-all-three", "gras-kappa", "zeta-skew", "mveb-kappa",
+        "skew-graph", "quasigras-graph", "veronese-axis"])
+def test_construct_rejects_flags_the_family_ignores(tmp_path, capsys, argv,
+                                                    message):
+    assert run(["construct", *argv, "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("family, n, least", [
+    ("gras", -2, 3), ("gras", 0, 3), ("gras", 1, 3), ("gras", 2, 3),
+    ("skew", 2, 3), ("mveb", 2, 3), ("quasigras", 3, 4), ("veronese", 0, 1),
+])
+def test_construct_names_n_in_range_errors(tmp_path, capsys, family, n, least):
+    out = tmp_path / "x.json"
+    assert run(["construct", "--family", family, "--n", str(n),
+                "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --n must be at least {least} for --family {family}, got {n}\n")
+    assert not out.exists()
+
+
 def test_verify_reports_violation_with_exit_1(tmp_path, capsys):
     bad = {"points": ["w", "x", "y", "z"], "lines": [[0, 1, 2], [0, 1, 3]]}
     path = tmp_path / "bad.json"
@@ -365,6 +400,18 @@ def test_malformed_json_is_domain_error(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     assert run(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_search_pg_rejects_q_above_the_bound(tmp_path, capsys, monkeypatch):
+    # 131 is the first prime above the bound; no field table may be built
+    path = _construct(tmp_path, "d.json", "--family", "skew", "--n", "3",
+                      "--skew", "id")
+    monkeypatch.setattr(perspectra.realize, "GF", None)
+    assert run(["search-pg", str(path), "--q", "131"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no field of order 131 available: "
+                            "q is above the bound 127\n")
 
 
 def test_search_pg_rejects_four_point_line(tmp_path, capsys):

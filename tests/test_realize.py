@@ -17,6 +17,7 @@ from perspectra.realize import (closure_check, collinear, embed_search,
                                 line_through, meet, normalize,
                                 parametric_realization, pg2q_points,
                                 verify_pg_embedding, verify_realization)
+from perspectra import realize
 from perspectra.realize import _plane
 
 from pg_reference import reference_embed_search
@@ -186,6 +187,16 @@ def test_galois_field_arithmetic():
         galois_field(16)
 
 
+def test_galois_field_rejects_q_above_the_bound(monkeypatch):
+    # 131 is the first prime above the bound; no field table may be built
+    monkeypatch.setattr(realize, "GF", None)
+    message = "no field of order 131 available: q is above the bound 127"
+    with pytest.raises(IncidenceError, match=message):
+        galois_field(131)
+    with pytest.raises(IncidenceError, match="above the bound 127"):
+        embed_search(desargues(), 131)
+
+
 def test_pg2q_point_counts():
     for q in (2, 3, 4, 5):
         assert len(pg2q_points(q)) == q * q + q + 1
@@ -194,11 +205,12 @@ def test_pg2q_point_counts():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11])
 def test_plane_tables_match_brute_force(q):
-    # every point tested against every line, every pair against every line
+    # every point tested against every line; for every pair of points the
+    # two masks meet in exactly one bit, the line through both (the polarity
+    # embed_search relies on)
     f = galois_field(q)
-    points, line_mask, join = _plane(q)
+    points, line_mask = _plane(q)
     assert points == pg2q_points(q)
-    size = len(points)
 
     def on(line, point):
         terms = [f.mul(a, x) for a, x in zip(line, point)]
@@ -207,9 +219,11 @@ def test_plane_tables_match_brute_force(q):
     members = [[i for i, p in enumerate(points) if on(line, p)]
                for line in points]
     assert line_mask == [sum(1 << i for i in m) for m in members]
-    for i, j in combinations(range(size), 2):
+    for i, j in combinations(range(len(points)), 2):
         through = [k for k, m in enumerate(members) if i in m and j in m]
-        assert [join[i * size + j]] == [join[j * size + i]] == through
+        common = line_mask[i] & line_mask[j]
+        assert common.bit_count() == 1
+        assert [common.bit_length() - 1] == through
 
 
 def test_embed_search_desargues():
@@ -229,6 +243,14 @@ def test_embed_search_desargues():
                - u[1] * (v[0] * w[2] - v[2] * w[0])
                + u[2] * (v[0] * w[1] - v[1] * w[0])) % 5
         assert (det == 0) == (frozenset(tri) in on_line)
+
+
+def test_embed_search_desargues_at_97():
+    # the largest q any test searches; a plane of 9,507 points
+    d = desargues()
+    result = embed_search(d, 97)
+    assert (result.status, result.nodes) == ("found", 10)
+    assert verify_pg_embedding(d, result.assignment, 97) == (True, "faithful")
 
 
 def test_embed_search_fez_found_at_7():
