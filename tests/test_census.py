@@ -6,10 +6,12 @@ import re
 
 import pytest
 
+from perspectra import iso
 from perspectra.incidence import IncidenceError
 from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                PAPER_PERM_TOTAL, SCHEMA_VERSION,
-                               census_n4, classify_grasaxis, identify)
+                               census_n4, classify_grasaxis, full_census,
+                               identify)
 from perspectra.families import (desargues, fez, grassmannian, kantor,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective)
@@ -193,3 +195,25 @@ def test_classify_grasaxis_output_without_certs_is_pinned(n):
         5: "2c9356f0e61cf2b5acf5fe6e46ea8d61579ca6c8bd20bbbb010771371fccb55b",
     }[n]
     assert _sha256_without_certs(_grasaxis_json(n)) == digest
+
+
+def test_census_search_totals_are_pinned(monkeypatch):
+    # the search tree the canonical-form kernel walks: summed over the 1442
+    # distinct forms full_census computes, and for G(9)
+    forms = {}
+    canonical = iso._canonical
+
+    def record(n, lines):
+        forms[n, lines] = form = canonical(n, lines)
+        return form
+
+    monkeypatch.setattr(iso, "_canonical", record)
+    full_census()
+    totals = {key: sum(form.stats[key] for form in forms.values())
+              for key in ("nodes", "leaves", "refine_rounds", "generators")}
+    assert len(forms) == 1442
+    assert totals == {"nodes": 4191, "leaves": 2816, "refine_rounds": 8925,
+                      "generators": 1080}
+    stats = canonical_form(grassmannian(9)).stats
+    assert (stats["nodes"], stats["leaves"], stats["refine_rounds"],
+            stats["generators"]) == (42, 9, 74, 8)
