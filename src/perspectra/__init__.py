@@ -11,10 +11,10 @@ from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
                         verify)
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa, kappa_composed, parse_cycles)
-from .families import (SkewPerspectiveSpec, desargues, fez, grassmannian,
-                       kantor, kappa_spec, multiveblen, perm_spec,
-                       quasi_grassmannian, skew_perspective, veblen_catalog,
-                       veronesian, zeta)
+from .families import (SkewPerspectiveSpec, desargues, enumerate_veblen, fez,
+                       grassmannian, kantor, kappa_spec, multiveblen,
+                       perm_spec, quasi_grassmannian, skew_perspective,
+                       veblen_catalog, veronesian, zeta)
 from .analysis import (classify_pair_skew, free_complete_subgraphs, free_count,
                        is_freely_contained, reperspective,
                        third_graph_criterion)

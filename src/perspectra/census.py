@@ -12,9 +12,9 @@ from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
 from .perms import (LIFTS, Permutation, all_permutations, cycle_type,
                     induced_pair_map, parse_cycles, partitions)
-from .families import (SkewPerspectiveSpec, enumerate_veblen, fez, grassmannian,
-                       kantor, multiveblen, path_graph, quasi_grassmannian,
-                       skew_perspective)
+from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
+                       grassmannian, kantor, multiveblen, path_graph,
+                       quasi_grassmannian, skew_perspective)
 from .analysis import free_count, third_graph_criterion
 from .iso import automorphism_count, canonical_form
 
@@ -121,7 +121,7 @@ def census_n4(family: str) -> list[CensusEntry]:
     tags = {"perm": "induced", "kappa": "kappa"}
     if family not in tags:
         raise IncidenceError(f"unknown census family {family!r}")
-    labelings = enumerate_veblen().labelings
+    labelings = all_veblen_labelings()
 
     def items():
         for sigma in all_permutations(4):

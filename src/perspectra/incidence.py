@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 
@@ -48,22 +48,30 @@ class PointLabel:
         return f"PointLabel({str(self)!r})"
 
 
+# The structured labels are interned: a label is frozen, and one object per
+# label makes dict and set lookups identity hits.  The caches are bounded; an
+# evicted label is built again, equal to the first.
+@lru_cache(maxsize=1)
 def center() -> PointLabel:
     return PointLabel("p")
 
 
+@lru_cache(maxsize=1024)
 def a_point(i: int) -> PointLabel:
     return PointLabel("a", (i,))
 
 
+@lru_cache(maxsize=1024)
 def b_point(i: int) -> PointLabel:
     return PointLabel("b", (i,))
 
 
+@lru_cache(maxsize=1024)
 def c_point(i: int, j: int) -> PointLabel:
     if i == j:
         raise ValueError("c-label needs a 2-subset")
-    i, j = min(i, j), max(i, j)
+    if i > j:
+        return c_point(j, i)
     return PointLabel("c", (i, j))
 
 
@@ -80,7 +88,7 @@ def parse_label(text: str) -> PointLabel:
         return center()
     m = _AB_RE.match(text)
     if m:
-        return PointLabel(m.group(1), (int(m.group(2)),))
+        return (a_point if m.group(1) == "a" else b_point)(int(m.group(2)))
     m = _C_RE.match(text)
     if m:
         return c_point(int(m.group(1)), int(m.group(2)))
@@ -140,6 +148,10 @@ class Configuration:
                 joins[(y, x)] = line
         return joins
 
+    @cached_property
+    def _verified(self):
+        return _check_axioms(self)
+
     def index_of(self, label: PointLabel) -> int:
         try:
             return self._index[label]
@@ -165,8 +177,13 @@ def verify(config: Configuration):
 
     Returns a ConfigurationSignature when the structure is a regular
     k-configuration, otherwise a ViolationReport naming the first violated
-    axiom with witnesses.
+    axiom with witnesses.  A Configuration is checked once: later calls on
+    the same object return the first result.
     """
+    return config._verified
+
+
+def _check_axioms(config: Configuration):
     nu = len(config.points)
     sizes = {len(line) for line in config.lines}
     if len(sizes) > 1:

@@ -49,6 +49,14 @@ class _CanonSearch:
         for index, line in enumerate(lines):
             for v in line:
                 self.lines_of_point[v].append(index)
+        # refine's keys: color c, from -1 up to 2n - 2, weighs
+        # base^(2n - 1 - c) at index c + 1, over a base above the line size;
+        # line rank r weighs base^(b - r) over a base above every point rank
+        base = len(lines[0]) + 1 if lines else 1
+        self.color_weight = [base ** (2 * n - i) for i in range(2 * n)]
+        base = max(map(len, self.lines_of_point), default=0) + 1
+        self.rank_weight = [base ** (len(lines) - r) for r in range(len(lines))]
+        self.sig_base = base ** (len(lines) + 1)     # above every point's key
         self.best_lines = self.best_perm = self.best_path = None
         self.gens = []
         self.nodes = self.leaves = self.rounds = 0
@@ -57,10 +65,14 @@ class _CanonSearch:
         """Color each point by its rank and by the sum, over the points u it
         shares a line with, of the points collinear with both: with one line
         size this orders the points as (rank, triangles through the point)
-        would (nauty's adjtriang invariant)."""
-        near = [set().union(*(self.lines[i] for i in lines)) - {v}
-                for v, lines in enumerate(self.lines_of_point)]
-        sigs = [(len(lines), sum(len(near[v] & near[u]) for u in near[v]))
+        would (nauty's adjtriang invariant).  Neighbourhoods are bitmasks,
+        and as two lines share at most one point, the points u are those of
+        v's lines other than v, each once."""
+        masks = [sum(1 << v for v in line) for line in self.lines]
+        near = [functools.reduce(int.__or__, map(masks.__getitem__, lines), 0)
+                & ~(1 << v) for v, lines in enumerate(self.lines_of_point)]
+        sigs = [(len(lines), sum((near[v] & near[u]).bit_count()
+                                 for i in lines for u in self.lines[i] if u != v))
                 for v, lines in enumerate(self.lines_of_point)]
         lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
         return [lut[s] for s in sigs]
@@ -70,17 +82,28 @@ class _CanonSearch:
         round splits nothing or every cell is a singleton.  A line ranks by
         the sorted colors of all its points: every line has the same size
         and a point's own color sits on each of its lines, so this orders the
-        points exactly as the colors of their co-line points would."""
+        points exactly as the colors of their co-line points would.
+
+        No tuple is sorted: a sorted tuple is keyed by its multiplicities,
+        as the sum of base^-c over its entries c, with a base above any
+        multiplicity.  Among tuples of one length a larger key is then
+        exactly a lexicographically smaller tuple.  Lines have one size, and
+        points of one color have one rank, since the seed splits the ranks
+        and every color here refines it."""
         n, lines, lines_of_point = self.n, self.lines, self.lines_of_point
+        color_weight, rank_weight = self.color_weight, self.rank_weight
+        sig_base = self.sig_base
         cells = len(set(colors))
         while True:
             self.rounds += 1
-            color = colors.__getitem__
-            keys = [tuple(sorted(map(color, line))) for line in lines]
-            rank = {k: i for i, k in enumerate(sorted(set(keys)))}
-            line_rank = [rank[k] for k in keys].__getitem__
-            sigs = [(colors[v], tuple(sorted(map(line_rank, lines_of_point[v]))))
-                    for v in range(n)]
+            weight = [color_weight[c + 1] for c in colors].__getitem__
+            keys = [sum(map(weight, line)) for line in lines]
+            rank = {k: rank_weight[i]
+                    for i, k in enumerate(sorted(set(keys), reverse=True))}
+            line_weight = [rank[k] for k in keys].__getitem__
+            # ascending color, then descending key
+            sigs = [c * sig_base - sum(map(line_weight, lines_of_point[v]))
+                    for v, c in enumerate(colors)]
             lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
             colors = [lut[s] for s in sigs]
             if len(lut) == cells or len(lut) == n:

@@ -73,6 +73,9 @@ class GF:
 _MAX_Q = 127
 
 
+# One field per q, shared: a GF is never changed after it is built, and
+# building GF(127) takes about 0.03 s.
+@lru_cache(maxsize=8)
 def galois_field(q: int) -> GF:
     if q > _MAX_Q:
         raise IncidenceError(f"no field of order {q} available: "

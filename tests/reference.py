@@ -1,7 +1,7 @@
 """Test-only reference helpers: brute-force permutation-group computations,
-the alternate-center condition, the empty graph and the Veronesian two-letter
-clique candidates.  They back claims the tests check; the library itself does
-not need them.
+the alternate-center condition, the empty graph, the Veronesian two-letter
+clique candidates and the sorting canonical-form seed and refinement.  They
+back claims the tests check; the library itself does not need them.
 """
 
 from itertools import combinations, permutations
@@ -140,3 +140,33 @@ def veronesian_two_letter_set(k: int, x: str, y: str):
     for i in range(k + 1):
         out.append(free_point("".join(sorted(x * (k - i) + y * i))))
     return out
+
+
+def seed_by_sets(search):
+    """_CanonSearch.seed over neighbourhood sets: each point's (rank, sum
+    over its neighbours u of the common neighbours of it and u), ranked."""
+    near = [set().union(*(search.lines[i] for i in lines)) - {v}
+            for v, lines in enumerate(search.lines_of_point)]
+    sigs = [(len(lines), sum(len(near[v] & near[u]) for u in near[v]))
+            for v, lines in enumerate(search.lines_of_point)]
+    lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return [lut[s] for s in sigs]
+
+
+def refine_by_sorting(search, colors):
+    """_CanonSearch.refine with sorted tuples: a line ranks by the sorted
+    colors of its points, a point by (color, sorted ranks of its lines)."""
+    n, lines, lines_of_point = search.n, search.lines, search.lines_of_point
+    cells = len(set(colors))
+    while True:
+        color = colors.__getitem__
+        keys = [tuple(sorted(map(color, line))) for line in lines]
+        rank = {k: i for i, k in enumerate(sorted(set(keys)))}
+        line_rank = [rank[k] for k in keys].__getitem__
+        sigs = [(colors[v], tuple(sorted(map(line_rank, lines_of_point[v]))))
+                for v in range(n)]
+        lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [lut[s] for s in sigs]
+        if len(lut) == cells or len(lut) == n:
+            return colors
+        cells = len(lut)

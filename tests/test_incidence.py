@@ -1,5 +1,6 @@
 """Core incidence structure: labels, verification, joins, serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,17 @@ def test_c_point_normalizes_pair_order():
     assert c_point(3, 1) == c_point(1, 3)
     with pytest.raises(ValueError):
         c_point(2, 2)
+
+
+def test_structured_labels_are_interned():
+    assert c_point(2, 1) is c_point(1, 2)
+    assert a_point(4) is parse_label("a4") and b_point(4) is parse_label("b4")
+    assert center() is parse_label("p")
+    for _ in range(2):      # an error is not cached
+        with pytest.raises(ValueError):
+            c_point(1, 1)
+    for make in (center, a_point, b_point, c_point):
+        assert make.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize("text", ["p", "a1", "b7", "c{2,5}", "aab"])
@@ -57,6 +69,23 @@ def test_verify_grassmannian_signatures():
     for n in range(3, 8):
         sig = verify(grassmannian(n))
         assert sig.as_tuple() == (comb(n, 2), n - 2, comb(n, 3), 3)
+
+
+def test_verify_is_computed_once_per_configuration():
+    config = desargues()
+    first = verify(config)
+    assert verify(config) is first
+    bad = Configuration(config.points, config.lines[:-1])
+    assert verify(bad) == verify(bad) == ViolationReport("not regular", (2, 3))
+
+
+def test_verify_memo_is_outside_equality():
+    names = [f.name for f in dataclasses.fields(Configuration)]
+    assert names == ["points", "lines"]
+    verified, fresh = grassmannian(5), grassmannian(5)
+    verify(verified)
+    assert verified == fresh and hash(verified) == hash(fresh)
+    assert verified is not fresh
 
 
 def test_verify_flags_partial_linearity_violation():

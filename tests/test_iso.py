@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from perspectra import iso
 from perspectra.incidence import Configuration, IncidenceError, free_point
-from perspectra.families import (SkewPerspectiveSpec, desargues, fez,
-                                 grassmannian, kantor, kappa_spec, perm_spec,
-                                 skew_perspective, veblen_catalog, zeta)
+from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
+                                 desargues, fez, grassmannian, kantor,
+                                 kappa_spec, perm_spec, skew_perspective,
+                                 veblen_catalog, veronesian, zeta)
 from perspectra.iso import (are_isomorphic, automorphism_count, canonical_form,
                             criterion_iso, is_isomorphism)
-from perspectra.perms import all_permutations
+from perspectra.perms import LIFTS, all_permutations
+from perspectra.realize import _plane
+from reference import refine_by_sorting, seed_by_sets
 
 
 def _relabel(config, perm):
@@ -143,6 +146,9 @@ def test_canonical_form_rejects_non_partial_linear_input():
     bad = Configuration.build(pts, [tuple(pts[:3]), (pts[0], pts[1], pts[3])])
     with pytest.raises(IncidenceError):
         canonical_form(bad)
+    # built directly, with no normalization
+    with pytest.raises(IncidenceError, match="not partially linear"):
+        canonical_form(Configuration(tuple(pts), ((0, 1, 2), (0, 1, 3))))
 
 
 def test_criterion_iso_perm_agrees_on_conjugates():
@@ -214,3 +220,63 @@ def test_criterion_matches_generic_on_catalog_axes():
                 assert generic is not None
             if generic is None:
                 assert crit is None
+
+
+def _assert_kernel_matches_sorting(n, lines):
+    """The bitmask seed and the multiplicity-keyed refinement give the
+    colors of the sorting reference: at the root, and after individualizing
+    each point, which gives that point the color -1."""
+    search = iso._CanonSearch(n, lines)
+    seed = search.seed()
+    assert seed == seed_by_sets(search)
+    root = search.refine(seed)
+    assert root == refine_by_sorting(search, seed)
+    for v in range(n):
+        colors = [2 * c for c in root]
+        colors[v] -= 1
+        assert search.refine(colors) == refine_by_sorting(search, colors)
+
+
+def _pg2_3():
+    points, line_mask = _plane(3)
+    return len(points), tuple(tuple(i for i in range(len(points)) if m >> i & 1)
+                              for m in line_mask)
+
+
+def test_refinement_matches_the_sorting_reference():
+    labelings = all_veblen_labelings()
+    census = [skew_perspective(SkewPerspectiveSpec(4, lift(sigma), axis))
+              for lift in LIFTS.values()
+              for sigma in all_permutations(4)[::3]
+              for axis in labelings[::4]]
+    named = [grassmannian(n) for n in range(4, 10)] + [
+        desargues(), fez(), kantor(), veronesian(4)]
+    for config in census + named:
+        _assert_kernel_matches_sorting(len(config.points), config.lines)
+    n, lines = _pg2_3()
+    assert (n, len(lines), {len(line) for line in lines}) == (13, 13, {4})
+    _assert_kernel_matches_sorting(n, lines)
+
+
+@st.composite
+def partial_linear_spaces(draw):
+    """Up to 15 points and 3-point lines, any two meeting in at most one
+    point; the ranks are mixed, isolated points included."""
+    n = draw(st.integers(3, 15))
+    triples = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3),
+                            max_size=30))
+    lines, covered = [], set()
+    for triple in triples:
+        line = tuple(sorted(set(triple)))
+        pairs = {(line[0], line[1]), (line[0], line[2]), (line[1], line[2])} \
+            if len(line) == 3 else None
+        if pairs and not pairs & covered:
+            lines.append(line)
+            covered |= pairs
+    return n, tuple(sorted(lines))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(partial_linear_spaces())
+def test_refinement_matches_the_sorting_reference_on_random_spaces(space):
+    _assert_kernel_matches_sorting(*space)

@@ -1,6 +1,7 @@
 """Rational parametric realizations, faithfulness, closure checks and the
 PG(2,q) embedding search."""
 
+import functools
 import hashlib
 import re
 from fractions import Fraction
@@ -195,6 +196,26 @@ def test_galois_field_rejects_q_above_the_bound(monkeypatch):
         galois_field(131)
     with pytest.raises(IncidenceError, match="above the bound 127"):
         embed_search(desargues(), 131)
+
+
+def test_galois_field_is_built_once_per_q(monkeypatch):
+    # the plane, its points and each found embedding's check share one field
+    built = []
+
+    def counting_gf(q):
+        built.append(q)
+        return gf(q)
+
+    gf = realize.GF
+    monkeypatch.setattr(realize, "GF", counting_gf)
+    for name in ("galois_field", "_plane"):
+        fresh = functools.lru_cache(maxsize=8)(getattr(realize, name).__wrapped__)
+        monkeypatch.setattr(realize, name, fresh)
+    assert embed_search(desargues(), 5).status == "found"
+    assert embed_search(fez(), 7).status == "found"
+    assert built == [5, 7]
+    assert realize.galois_field(5) is realize.galois_field(5)
+    assert realize.galois_field.cache_info().maxsize is not None
 
 
 def test_pg2q_point_counts():
