@@ -85,9 +85,9 @@ class _CanonSearch:
         points exactly as the colors of their co-line points would.
 
         No tuple is sorted: a sorted tuple is keyed by its multiplicities,
-        as the sum of base^-c over its entries c, with a base above any
-        multiplicity.  Among tuples of one length a larger key is then
-        exactly a lexicographically smaller tuple.  Lines have one size, and
+        as the sum of base^(C - c) over its entries c, with C above every
+        entry and a base above any multiplicity.  Among tuples of one length
+        a larger key is then exactly a lexicographically smaller tuple.  Lines have one size, and
         points of one color have one rank, since the seed splits the ranks
         and every color here refines it."""
         n, lines, lines_of_point = self.n, self.lines, self.lines_of_point
@@ -98,9 +98,9 @@ class _CanonSearch:
             self.rounds += 1
             weight = [color_weight[c + 1] for c in colors].__getitem__
             keys = [sum(map(weight, line)) for line in lines]
-            rank = {k: rank_weight[i]
-                    for i, k in enumerate(sorted(set(keys), reverse=True))}
-            line_weight = [rank[k] for k in keys].__getitem__
+            ranked = {k: rank_weight[r]
+                      for r, k in enumerate(sorted(set(keys), reverse=True))}
+            line_weight = [ranked[k] for k in keys].__getitem__
             # ascending color, then descending key
             sigs = [c * sig_base - sum(map(line_weight, lines_of_point[v]))
                     for v, c in enumerate(colors)]

@@ -4,6 +4,7 @@ criterion-based tests for the skew families."""
 import dataclasses
 import functools
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,11 +268,9 @@ def partial_linear_spaces(draw):
                             max_size=30))
     lines, covered = [], set()
     for triple in triples:
-        line = tuple(sorted(set(triple)))
-        pairs = {(line[0], line[1]), (line[0], line[2]), (line[1], line[2])} \
-            if len(line) == 3 else None
-        if pairs and not pairs & covered:
-            lines.append(line)
+        pairs = set(combinations(sorted(triple), 2))
+        if len(pairs) == 3 and not pairs & covered:
+            lines.append(tuple(sorted(triple)))
             covered |= pairs
     return n, tuple(sorted(lines))
 
