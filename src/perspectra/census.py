@@ -13,8 +13,8 @@ from .incidence import (Configuration, IncidenceError, require_signature,
 from .perms import (LIFTS, Permutation, all_permutations, cycle_type,
                     induced_pair_map, parse_cycles, partitions)
 from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
-                       grassmannian, kantor, multiveblen, path_graph,
-                       quasi_grassmannian, skew_perspective)
+                       grassmannian, kantor, labeling_action, multiveblen,
+                       path_graph, quasi_grassmannian, skew_perspective)
 from .analysis import free_count, third_graph_criterion
 from .iso import automorphism_count, canonical_form
 
@@ -74,21 +74,23 @@ def _labels(n: int) -> dict:
 
 
 def _classify(family: str, n: int, items) -> list[CensusEntry]:
-    """One entry per isomorphism class of the (member, spec) items, found by
-    the canonical cert of each spec's configuration.  A member is a sortable
-    (skew image, axis key) pair; each class is represented by its smallest
-    member, and the classes come in the order of those members."""
+    """One entry per isomorphism class of the (members, spec) items, found by
+    the canonical cert of each spec's configuration.  The members of an item
+    are sortable (skew image, axis key) pairs of isomorphic instances, and
+    its spec builds the smallest of them; each class is represented by its
+    smallest member, and the classes come in the order of those members."""
     labels = _labels(n)
     classes = {}
-    for member, spec in items:
+    for members, spec in items:
+        first = min(members)
         config = skew_perspective(spec)
         cert = canonical_form(config).cert
         cls = classes.get(cert)
         if cls is None:
-            classes[cert] = cls = [member, spec, config, []]
-        elif member < cls[0]:
-            cls[:3] = member, spec, config
-        cls[3].append(member)
+            classes[cert] = cls = [first, spec, config, []]
+        elif first < cls[0]:
+            cls[:3] = first, spec, config
+        cls[3] += members
     return [CensusEntry(family, spec, cert, _entry_invariants(spec, config),
                         labels.get(cert, "new type"), len(members),
                         tuple((str(Permutation(image)), key)
@@ -104,7 +106,7 @@ def classify_grasaxis(n: int):
         raise IncidenceError("supported for 3 <= n <= 6")
     axis = grassmannian(n)
     entries = _classify("grasaxis", n, (
-        ((sigma.image, "G"), SkewPerspectiveSpec(n, induced_pair_map(sigma), axis))
+        ([(sigma.image, "G")], SkewPerspectiveSpec(n, induced_pair_map(sigma), axis))
         for sigma in all_permutations(n)))
     # completeness: each class is one cycle type, and there are p(n) classes
     for e in entries:
@@ -115,21 +117,50 @@ def classify_grasaxis(n: int):
     return entries
 
 
+def _n4_orbits(perms, labelings) -> list[list[tuple]]:
+    """The orbits of the (sigma, L) pairs, sigma in perms (all of S4) and L
+    in labelings, under (sigma, L) -> (tau sigma tau^-1, tau L), each as its
+    (sigma.image, index of L) members with the smallest first."""
+    index = {sigma.image: s for s, sigma in enumerate(perms)}
+    conj = []
+    for tau in perms:
+        tau_inv = tau.inverse()
+        conj.append([index[tuple(tau(sigma(tau_inv(i))) for i in range(1, 5))]
+                     for sigma in perms])
+    relabel = labeling_action(map(induced_pair_map, perms), labelings)
+    seen = set()
+    orbits = []
+    for s in range(len(perms)):
+        for li in range(len(labelings)):
+            if (s, li) not in seen:
+                orbit = {(row[s], labels[li]) for row, labels in zip(conj, relabel)}
+                seen |= orbit
+                orbits.append([(perms[x].image, y) for x, y in sorted(orbit)])
+    return orbits
+
+
 def census_n4(family: str) -> list[CensusEntry]:
     """The n = 4 census of one skew family, "perm" or "kappa": every skew
-    over every Veblen labeling, one entry per isomorphism class."""
+    over every Veblen labeling, one entry per isomorphism class.
+
+    Relabelling a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) by tau in
+    S4 is an isomorphism from the instance (sigma, L) onto
+    (tau sigma tau^-1, tau L), in both families, as kappa commutes with
+    induced pair maps.  So the 720 instances fall into 50 such orbits, and
+    only the smallest member of each is built and canonicalised; the rest of
+    the orbit joins its class.  A class's smallest member is the smallest
+    member of one of its orbits, so the entries are those of classifying
+    every instance."""
     tags = {"perm": "induced", "kappa": "kappa"}
     if family not in tags:
         raise IncidenceError(f"unknown census family {family!r}")
+    lift = LIFTS[tags[family]]
+    perms = all_permutations(4)
     labelings = all_veblen_labelings()
-
-    def items():
-        for sigma in all_permutations(4):
-            delta = LIFTS[tags[family]](sigma)
-            for li, axis in enumerate(labelings):
-                yield (sigma.image, li), SkewPerspectiveSpec(4, delta, axis)
-
-    return _classify(family, 4, items())
+    return _classify(family, 4, (
+        (orbit, SkewPerspectiveSpec(4, lift(Permutation(orbit[0][0])),
+                                    labelings[orbit[0][1]]))
+        for orbit in _n4_orbits(perms, labelings)))
 
 
 PAPER_PERM_TOTAL = 42

@@ -173,15 +173,27 @@ class VeblenEnumeration:
     catalog_exhaustive: bool                     # do the six classes cover all?
 
 
+def labeling_action(maps, labelings) -> list[tuple[int, ...]]:
+    """One row per pair map m: row[i] is the index in labelings of the image
+    of labelings[i] under m, found from the labelings' pair-line sets (no
+    Configuration is built).  Every image must be one of the labelings."""
+    line_sets = [_line_pair_sets(v) for v in labelings]
+    key_of = {lines: i for i, lines in enumerate(line_sets)}
+    images = (m.as_dict().__getitem__ for m in maps)
+    return [tuple(key_of[frozenset(frozenset(map(image, line)) for line in lines)]
+                  for lines in line_sets) for image in images]
+
+
 def enumerate_veblen() -> VeblenEnumeration:
     labelings = all_veblen_labelings()
-    key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
     # kappa commutes with every induced map and kappa^2 = id, so these 48
     # maps form a group: the orbit of a labeling is the set of its images
     maps = [lift(phi) for lift in LIFTS.values() for phi in all_permutations(4)]
-    orbit_of = [tuple(sorted({key_of[_line_pair_sets(apply_pair_map_to_axis(m, v))]
-                              for m in maps})) for v in labelings]
+    action = labeling_action(maps, labelings)
+    orbit_of = [tuple(sorted({row[i] for row in action}))
+                for i in range(len(labelings))]
     orbits = sorted(set(orbit_of))
+    key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
     catalog_orbit = {name: orbits.index(orbit_of[key_of[_line_pair_sets(axis)]])
                      for name, axis in veblen_catalog().items()}
     return VeblenEnumeration(tuple(labelings), tuple(orbits), catalog_orbit,

@@ -6,17 +6,20 @@ import re
 
 import pytest
 
-from perspectra import iso
+from perspectra import census, iso
 from perspectra.incidence import IncidenceError
 from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                PAPER_PERM_TOTAL, SCHEMA_VERSION,
                                census_n4, classify_grasaxis, full_census,
                                identify)
-from perspectra.families import (desargues, fez, grassmannian, kantor,
+from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
+                                 all_veblen_labelings, apply_pair_map_to_axis,
+                                 desargues, fez, grassmannian, kantor,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective)
 from perspectra.iso import canonical_form
-from perspectra.perms import partitions
+from perspectra.perms import (all_permutations, induced_pair_map,
+                              kappa_composed, partitions)
 
 
 def test_classify_grasaxis_n3_names():
@@ -197,9 +200,25 @@ def test_classify_grasaxis_output_without_certs_is_pinned(n):
     assert _sha256_without_certs(_grasaxis_json(n)) == digest
 
 
-def test_census_search_totals_are_pinned(monkeypatch):
-    # the search tree the canonical-form kernel walks: summed over the 1442
-    # distinct forms full_census computes, and for G(9)
+@pytest.fixture(scope="module")
+def labelled_sweep():
+    """(family, member) -> (the _canonical key of its configuration, its
+    canonical form), for every one of the 1,440 labelled n = 4 instances,
+    each built through skew_perspective (which verifies it) and
+    canonicalised on its own."""
+    sweep = {}
+    labelings = all_veblen_labelings()
+    for family, lift in (("perm", induced_pair_map), ("kappa", kappa_composed)):
+        for sigma in all_permutations(4):
+            for li, axis in enumerate(labelings):
+                config = skew_perspective(SkewPerspectiveSpec(4, lift(sigma), axis))
+                sweep[family, (str(sigma), li)] = ((len(config.points), config.lines),
+                                                   canonical_form(config))
+    return sweep
+
+
+def _record_forms(monkeypatch):
+    """The distinct forms the canonical-form kernel is asked for from now on."""
     forms = {}
     canonical = iso._canonical
 
@@ -208,12 +227,63 @@ def test_census_search_totals_are_pinned(monkeypatch):
         return form
 
     monkeypatch.setattr(iso, "_canonical", record)
-    full_census()
-    totals = {key: sum(form.stats[key] for form in forms.values())
-              for key in ("nodes", "leaves", "refine_rounds", "generators")}
+    return forms
+
+
+def _search_totals(forms):
+    return {key: sum(form.stats[key] for form in forms.values())
+            for key in ("nodes", "leaves", "refine_rounds", "generators")}
+
+
+def test_census_search_totals_are_pinned(monkeypatch, labelled_sweep):
+    # the search tree the canonical-form kernel walks: summed over the 1,442
+    # distinct forms of every labelled instance and of the class labels, over
+    # the 102 full_census computes (one instance per S4-orbit of (skew,
+    # labelling), plus the two labels that are no instance), and for G(9)
+    forms = _record_forms(monkeypatch)
+    census._labels(4)
+    forms.update(labelled_sweep.values())
     assert len(forms) == 1442
-    assert totals == {"nodes": 4191, "leaves": 2816, "refine_rounds": 8925,
-                      "generators": 1080}
+    assert _search_totals(forms) == {"nodes": 4191, "leaves": 2816,
+                                     "refine_rounds": 8925, "generators": 1080}
+    forms.clear()
+    full_census()
+    assert len(forms) == 102
+    assert _search_totals(forms)["nodes"] == 503
     stats = canonical_form(grassmannian(9)).stats
     assert (stats["nodes"], stats["leaves"], stats["refine_rounds"],
             stats["generators"]) == (42, 9, 74, 8)
+
+
+def test_every_labelled_instance_is_in_its_census_class(census_report,
+                                                         labelled_sweep):
+    # second method for the orbit step: each instance, canonicalised on its
+    # own, has the cert of the one entry whose members list it
+    entry_of = {(e.family, member): e for e in census_report.entries
+                for member in e.members}
+    assert len(entry_of) == sum(e.class_size for e in census_report.entries)
+    assert entry_of.keys() == labelled_sweep.keys()
+    for instance, (_, form) in labelled_sweep.items():
+        assert form.cert == entry_of[instance].canonical_hash
+
+
+def test_census_orbit_count_is_burnsides(monkeypatch):
+    # Burnside: the S4-orbits of (sigma, L) under (sigma, L) ->
+    # (tau sigma tau^-1, tau L) number the mean over tau of the pairs tau
+    # fixes, |centraliser of tau| times |labellings tau fixes|
+    perms = all_permutations(4)
+    labelings = all_veblen_labelings()
+    fixed = [sum(tau.compose(sigma) == sigma.compose(tau) for sigma in perms)
+             * sum(_line_pair_sets(apply_pair_map_to_axis(induced_pair_map(tau), axis))
+                   == _line_pair_sets(axis) for axis in labelings)
+             for tau in perms]
+    assert sum(fixed) % len(perms) == 0
+    orbits = sum(fixed) // len(perms)
+    assert orbits == 50
+    # the census builds one instance per orbit
+    for family in ("perm", "kappa"):
+        built = []
+        monkeypatch.setattr(census, "skew_perspective",
+                            lambda spec: built.append(spec) or skew_perspective(spec))
+        census_n4(family)
+        assert len(built) == orbits

@@ -2,15 +2,16 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from perspectra.incidence import (Configuration, ConfigurationSignature,
-                                  IncidenceError, ViolationReport, a_point,
-                                  b_point, c_point, center, export, free_point,
-                                  from_json, join, parse_label, third_point,
-                                  to_dot, to_json, verify)
+                                  IncidenceError, PointLabel, ViolationReport,
+                                  a_point, b_point, c_point, center, export,
+                                  free_point, from_json, join, parse_label,
+                                  third_point, to_dot, to_json, verify)
 from perspectra.families import desargues, grassmannian
 
 
@@ -37,6 +38,22 @@ def test_structured_labels_are_interned():
             c_point(1, 1)
     for make in (center, a_point, b_point, c_point):
         assert make.cache_info().maxsize is not None
+
+
+def test_label_hash_is_taken_once_and_matches_equality():
+    # the dataclass hash of (kind, key), kept from construction; a label
+    # built again, unpickled or replaced hashes and compares as the first
+    for label in (center(), a_point(3), c_point(1, 4), free_point("x")):
+        assert hash(label) == hash((label.kind, label.key))
+        again = PointLabel(label.kind, label.key)
+        assert again == label and hash(again) == hash(label)
+        loaded = pickle.loads(pickle.dumps(label))
+        assert loaded == label and hash(loaded) == hash(label)
+        assert {label: 1}[again] == 1 and again in {label}
+    assert [f.name for f in dataclasses.fields(PointLabel)] == ["kind", "key"]
+    moved = dataclasses.replace(c_point(1, 2), key=(1, 3))
+    assert moved == c_point(1, 3) and hash(moved) == hash(c_point(1, 3))
+    assert free_point("x") != free_point("y")
 
 
 @pytest.mark.parametrize("text", ["p", "a1", "b7", "c{2,5}", "aab"])

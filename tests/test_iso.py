@@ -279,3 +279,24 @@ def partial_linear_spaces(draw):
 @given(partial_linear_spaces())
 def test_refinement_matches_the_sorting_reference_on_random_spaces(space):
     _assert_kernel_matches_sorting(*space)
+
+
+def _assert_lines_follow_positions(n, lines):
+    form = iso._canonical(n, lines)
+    assert form.lines == tuple(sorted(tuple(sorted(form.position[v] for v in line))
+                                      for line in lines))
+
+
+def test_canonical_lines_are_the_lines_at_their_positions():
+    # the leaf compares line lists as bitmask keys; decoded, the best leaf's
+    # list is the input's lines moved to their canonical positions and sorted
+    for config in [grassmannian(9), veronesian(4), desargues()]:
+        _assert_lines_follow_positions(len(config.points), config.lines)
+    _assert_lines_follow_positions(*_pg2_3())
+    _assert_lines_follow_positions(4, ((0, 1), (0, 2), (1, 3)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(partial_linear_spaces())
+def test_canonical_lines_are_the_lines_at_their_positions_on_random_spaces(space):
+    _assert_lines_follow_positions(*space)
