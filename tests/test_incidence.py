@@ -47,7 +47,9 @@ def test_label_hash_is_taken_once_and_matches_equality():
         assert hash(label) == hash((label.kind, label.key))
         again = PointLabel(label.kind, label.key)
         assert again == label and hash(again) == hash(label)
-        loaded = pickle.loads(pickle.dumps(label))
+        data = pickle.dumps(label)
+        assert b"_hash" not in data       # a loading process hashes anew
+        loaded = pickle.loads(data)
         assert loaded == label and hash(loaded) == hash(label)
         assert {label: 1}[again] == 1 and again in {label}
     assert [f.name for f in dataclasses.fields(PointLabel)] == ["kind", "key"]
