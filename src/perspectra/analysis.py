@@ -153,14 +153,12 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
     if set(b_side) != g2_rest:
         raise IncidenceError("not a perspective pair from q")
     a_index = {x: i + 1 for i, x in enumerate(a_side)}
-    c_of_pair = {}
     pair_of_c = {}
     for x, y in combinations(a_side, 2):
         e = third_point(config, x, y)
         if e is None or e in g1 or e in g2:
             raise IncidenceError("not a perspective pair from q")
         u = (a_index[x], a_index[y])
-        c_of_pair[u] = e
         if e in pair_of_c:
             raise IncidenceError("not a perspective pair from q")
         pair_of_c[e] = u

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
@@ -117,10 +118,14 @@ def classify_grasaxis(n: int):
     return entries
 
 
-def _n4_orbits(perms, labelings) -> list[list[tuple]]:
-    """The orbits of the (sigma, L) pairs, sigma in perms (all of S4) and L
-    in labelings, under (sigma, L) -> (tau sigma tau^-1, tau L), each as its
-    (sigma.image, index of L) members with the smallest first."""
+@lru_cache(maxsize=1)
+def _n4_orbits() -> tuple[tuple[tuple, ...], ...]:
+    """The orbits of the (sigma, L) pairs, sigma in S4 and L in
+    all_veblen_labelings(), under (sigma, L) -> (tau sigma tau^-1, tau L),
+    each as its (sigma.image, index of L) members with the smallest first;
+    built once per process, as both families share them."""
+    perms = all_permutations(4)
+    labelings = all_veblen_labelings()
     index = {sigma.image: s for s, sigma in enumerate(perms)}
     conj = []
     for tau in perms:
@@ -135,8 +140,8 @@ def _n4_orbits(perms, labelings) -> list[list[tuple]]:
             if (s, li) not in seen:
                 orbit = {(row[s], labels[li]) for row, labels in zip(conj, relabel)}
                 seen |= orbit
-                orbits.append([(perms[x].image, y) for x, y in sorted(orbit)])
-    return orbits
+                orbits.append(tuple((perms[x].image, y) for x, y in sorted(orbit)))
+    return tuple(orbits)
 
 
 def census_n4(family: str) -> list[CensusEntry]:
@@ -155,12 +160,11 @@ def census_n4(family: str) -> list[CensusEntry]:
     if family not in tags:
         raise IncidenceError(f"unknown census family {family!r}")
     lift = LIFTS[tags[family]]
-    perms = all_permutations(4)
     labelings = all_veblen_labelings()
     return _classify(family, 4, (
         (orbit, SkewPerspectiveSpec(4, lift(Permutation(orbit[0][0])),
                                     labelings[orbit[0][1]]))
-        for orbit in _n4_orbits(perms, labelings)))
+        for orbit in _n4_orbits()))
 
 
 PAPER_PERM_TOTAL = 42

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        center, export, from_json, require_partial_linear,
+                        center, from_json, require_partial_linear, to_dot,
                         to_json, verify)
 from .families import (SkewPerspectiveSpec, grassmannian, kappa_spec,
                        multiveblen, path_graph, complete_graph, perm_spec,
@@ -67,8 +67,12 @@ def _resolve_graph(text: str, n: int):
         return named[text](n)
     edges = set()
     for part in text.split(","):
-        i, _, j = part.partition("-")
-        edges.add(tuple(sorted((int(i), int(j)))))
+        try:
+            i, j = map(int, part.split("-"))
+        except ValueError:
+            raise IncidenceError(f"--graph edge {part!r} is not of the form "
+                                 "i-j") from None
+        edges.add(tuple(sorted((i, j))))
     return edges
 
 
@@ -232,7 +236,9 @@ def _cmd_search_pg(args):
 
 
 def _cmd_export(args):
-    _emit(export(_load(args.input), args.format).decode(), args.output)
+    config = _load(args.input)
+    _emit(to_dot(config) if args.format == "dot" else to_json(config),
+          args.output)
     return 0
 
 

@@ -6,6 +6,7 @@ Veronesians and quasi-Grassmannians.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -146,8 +147,10 @@ def count_star_lines(axis: Configuration) -> int:
     return sum(1 for line in _line_pair_sets(axis) if frozenset(line) in stars)
 
 
-def all_veblen_labelings() -> list[Configuration]:
-    """Every Veblen ((6,2,4,3)) configuration on the fixed 6 pair-points."""
+@lru_cache(maxsize=1)
+def all_veblen_labelings() -> tuple[Configuration, ...]:
+    """Every Veblen ((6,2,4,3)) configuration on the fixed 6 pair-points,
+    enumerated once per process."""
     pts = pairs_of(4)
     triples = list(combinations(pts, 3))
     out = []
@@ -162,7 +165,7 @@ def all_veblen_labelings() -> list[Configuration]:
                 break
         if ok:
             out.append(_axis_from_pair_lines(four))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,7 @@ def enumerate_veblen() -> VeblenEnumeration:
     key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
     catalog_orbit = {name: orbits.index(orbit_of[key_of[_line_pair_sets(axis)]])
                      for name, axis in veblen_catalog().items()}
-    return VeblenEnumeration(tuple(labelings), tuple(orbits), catalog_orbit,
+    return VeblenEnumeration(labelings, tuple(orbits), catalog_orbit,
                              set(catalog_orbit.values()) == set(range(len(orbits))))
 
 

@@ -28,17 +28,6 @@ class PointLabel:
     def __post_init__(self):
         if self.kind not in _KIND_ORDER:
             raise ValueError(f"unknown label kind {self.kind!r}")
-        # the dataclass hash, taken once: labels are looked up in dicts and
-        # sets far more often than they are made
-        object.__setattr__(self, "_hash", hash((self.kind, self.key)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        # rebuilt through __init__, so that an unpickled label hashes by the
-        # string hash of the process that loads it
-        return PointLabel, (self.kind, self.key)
 
     def sort_key(self):
         return (_KIND_ORDER[self.kind], self.key)
@@ -325,11 +314,3 @@ def to_dot(config: Configuration) -> str:
             out.append(f"  p{i} -- l{j};")
     out.append("}")
     return "\n".join(out) + "\n"
-
-
-def export(config: Configuration, fmt: str) -> bytes:
-    if fmt == "json":
-        return to_json(config).encode()
-    if fmt == "dot":
-        return to_dot(config).encode()
-    raise IncidenceError(f"unknown format {fmt!r}")

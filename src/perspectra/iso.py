@@ -57,8 +57,7 @@ class _CanonSearch:
         base = max(map(len, self.lines_of_point), default=0) + 1
         self.rank_weight = [base ** (len(lines) - r) for r in range(len(lines))]
         self.sig_base = base ** (len(lines) + 1)     # above every point's key
-        self.top_bit = 1 << (n - 1) if n else 0
-        self.best_key = self.best_perm = self.best_path = None
+        self.best_lines = self.best_perm = self.best_path = None
         self.gens = []
         self.nodes = self.leaves = self.rounds = 0
 
@@ -113,38 +112,20 @@ class _CanonSearch:
 
     def _leaf(self, colors, path):
         """1 for a new best leaf, 0 for a worse one; a leaf equal to the best
-        is an automorphism: store it and jump back to where the paths part.
-
-        No line is sorted: a line is keyed by the sum of 2^(n - 1 - p) over
-        the positions p of its points, and among lines of one size a larger
-        key is exactly a lexicographically smaller sorted tuple.  So the keys
-        in descending order stand for the sorted line list, a larger key list
-        for a smaller line list."""
+        is an automorphism: store it and jump back to where the paths part."""
         self.leaves += 1
         perm = tuple(colors)
-        bit = [self.top_bit >> p for p in perm].__getitem__
-        key = sorted([sum(map(bit, line)) for line in self.lines], reverse=True)
-        if self.best_key is None or key > self.best_key:
-            self.best_key, self.best_perm, self.best_path = key, perm, path
+        canon = tuple(sorted(tuple(sorted(perm[u] for u in line))
+                             for line in self.lines))
+        if self.best_lines is None or canon < self.best_lines:
+            self.best_lines, self.best_perm, self.best_path = canon, perm, path
             return 1
-        if key < self.best_key:
+        if canon > self.best_lines:
             return 0
         inv = sorted(range(self.n), key=self.best_perm.__getitem__)
         self.gens.append(tuple(inv[perm[v]] for v in range(self.n)))
         raise _Jump(next(i for i, (u, w) in enumerate(zip(path, self.best_path))
                          if u != w))
-
-    def best_lines(self):
-        """The best leaf's line list: its keys decoded, in ascending order,
-        into the sorted position tuples they stand for."""
-        lines = []
-        for k in self.best_key:
-            line = []
-            while k:
-                line.append(self.n - k.bit_length())
-                k &= ~(self.top_bit >> line[-1])
-            lines.append(tuple(line))
-        return tuple(lines)
 
     def _orbit(self, v, path):
         """Orbit of v under the stored automorphisms that fix path pointwise."""
@@ -172,7 +153,7 @@ class _CanonSearch:
         for v in target:
             if v in tally:
                 continue
-            best = self.best_key
+            best = self.best_lines
             new = [2 * c for c in colors]
             new[v] -= 1
             try:
@@ -182,7 +163,7 @@ class _CanonSearch:
                     raise
                 # v's subtree is the image of the best path's sibling
                 count = tally[self.best_path[len(path)]]
-            if self.best_key is not best:
+            if self.best_lines is not best:
                 # no earlier leaf equals a new best
                 tally = dict.fromkeys(tally, 0)
             for u in self._orbit(v, path):
@@ -203,12 +184,11 @@ def _canonical(n: int, lines: tuple) -> CanonicalForm:
     start = time.perf_counter()
     search = _CanonSearch(n, lines)
     aut_order = search.run(search.refine(search.seed()), [])
-    best = search.best_lines()
-    cert = hashlib.sha256(repr((n, best)).encode()).hexdigest()
+    cert = hashlib.sha256(repr((n, search.best_lines)).encode()).hexdigest()
     stats = {"nodes": search.nodes, "leaves": search.leaves,
              "refine_rounds": search.rounds, "generators": len(search.gens),
              "elapsed_s": time.perf_counter() - start}
-    return CanonicalForm(search.best_perm, best, cert,
+    return CanonicalForm(search.best_perm, search.best_lines, cert,
                          aut_order, stats)
 
 

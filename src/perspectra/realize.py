@@ -137,21 +137,22 @@ def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
     """The checks verify_realization and verify_pg_embedding share, on
     points already normalized."""
     labs = config.points
-    for x, y in combinations(labs, 2):
-        if pts[x] == pts[y]:
-            return False, f"points {x} and {y} coincide"
+    vec = [pts[lab] for lab in labs]
+    for i, j in combinations(range(len(labs)), 2):
+        if vec[i] == vec[j]:
+            return False, f"points {labs[i]} and {labs[j]} coincide"
     on_line = {frozenset(line) for line in config.lines}
     withheld_set = frozenset(config.index_of(x) for x in withheld) if withheld else None
     for line in config.lines:
         if frozenset(line) == withheld_set:
             continue
-        if not is_collinear(*(pts[labs[i]] for i in line)):
+        if not is_collinear(*(vec[i] for i in line)):
             return False, f"line {tuple(map(str, config.line_labels(line)))} not collinear"
     for tri in combinations(range(len(labs)), 3):
         key = frozenset(tri)
         if key in on_line or key == withheld_set:
             continue
-        if is_collinear(*(pts[labs[i]] for i in tri)):
+        if is_collinear(*(vec[i] for i in tri)):
             return False, "spurious collinearity " + str(
                 tuple(str(labs[i]) for i in tri))
     return True, "faithful"

@@ -14,9 +14,10 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                identify)
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
                                  all_veblen_labelings, apply_pair_map_to_axis,
-                                 desargues, fez, grassmannian, kantor,
-                                 multiveblen, path_graph, perm_spec,
-                                 quasi_grassmannian, skew_perspective)
+                                 desargues, enumerate_veblen, fez,
+                                 grassmannian, kantor, multiveblen, path_graph,
+                                 perm_spec, quasi_grassmannian,
+                                 skew_perspective)
 from perspectra.iso import canonical_form
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, partitions)
@@ -287,3 +288,16 @@ def test_census_orbit_count_is_burnsides(monkeypatch):
                             lambda spec: built.append(spec) or skew_perspective(spec))
         census_n4(family)
         assert len(built) == orbits
+
+
+def test_veblen_labelings_and_orbits_are_built_once():
+    # the first census enumerates the labellings and builds the orbit
+    # tables; the other family's census and enumerate_veblen reuse both
+    tables = (all_veblen_labelings, census._n4_orbits)
+    for table in tables:
+        table.cache_clear()
+    census_n4("perm")
+    assert [table.cache_info().misses for table in tables] == [1, 1]
+    census_n4("kappa")
+    assert enumerate_veblen().labelings is all_veblen_labelings()
+    assert [table.cache_info().misses for table in tables] == [1, 1]

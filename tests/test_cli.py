@@ -251,6 +251,26 @@ def test_construct_mveb_rejects_bad_edges(tmp_path, capsys, graph):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("graph, edge", [("1-2,x", "x"), (",", ""),
+                                         ("1-2-3", "1-2-3")],
+                         ids=["letter", "empty", "three-ends"])
+def test_construct_mveb_rejects_malformed_edges(tmp_path, capsys, graph, edge):
+    out = tmp_path / "mv.json"
+    assert run(["construct", "--family", "mveb", "--n", "4", "--graph", graph,
+                "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --graph edge {edge!r} is not of the form i-j\n")
+    assert not out.exists()
+
+
+def test_construct_mveb_edges_take_int_spellings(tmp_path):
+    spaced = _construct(tmp_path, "a.json", "--family", "mveb", "--n", "4",
+                        "--graph", " 1-2, 2 -3")
+    plain = _construct(tmp_path, "b.json", "--family", "mveb", "--n", "4",
+                       "--graph", "1-2,2-3")
+    assert spaced.read_text() == plain.read_text()
+
+
 def test_analyze_rejects_negative_free_k(tmp_path, capsys):
     path = _construct(tmp_path, "c.json", "--family", "skew", "--n", "4")
     assert run(["analyze", str(path), "--free-k", "-2"]) == 1
@@ -264,6 +284,9 @@ def test_export_dot(tmp_path, capsys):
                       "--skew", "id")
     assert run(["export", str(path), "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("graph levi {")
+    with pytest.raises(SystemExit) as exc:
+        run(["export", str(path), "--format", "svg"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_domain_error(capsys):
@@ -358,6 +381,39 @@ def test_src_names_are_used_or_exported():
                     and refs[node.name] == (node.name in names(node))
                     and node.name not in exported)
     assert unused == []
+
+
+def test_src_locals_are_read():
+    # every local name a src/ function stores into is read in it; d[k] = v
+    # stores into d, and `_` names a value kept unread.  Parameters and
+    # global or nonlocal names are seen by the caller, so they are exempt.
+    src = Path(perspectra.__file__).parent
+    dead = []
+    for path in sorted(src.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            nodes = list(ast.walk(func))
+            into = set()
+            for sub in nodes:
+                if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store):
+                    base = sub.value
+                    while isinstance(base, ast.Subscript):
+                        base = base.value
+                    into.add(base)
+            names = [sub for sub in nodes if isinstance(sub, ast.Name)]
+            stored = {sub.id for sub in names
+                      if isinstance(sub.ctx, ast.Store) or sub in into}
+            read = {sub.id for sub in names
+                    if isinstance(sub.ctx, ast.Load) and sub not in into}
+            seen = {arg.arg for arg in ast.walk(func.args)
+                    if isinstance(arg, ast.arg)}
+            seen |= {name for sub in nodes
+                     if isinstance(sub, (ast.Global, ast.Nonlocal))
+                     for name in sub.names}
+            dead += [f"{path.name}:{func.name}:{name}"
+                     for name in sorted(stored - read - seen - {"_"})]
+    assert dead == []
 
 
 def test_src_imports_are_at_module_level():
