@@ -1,12 +1,14 @@
 """Construction families: skew perspectives, Veblen labelings, multiveblen,
 Veronesians, quasi-Grassmannians and the named small instances."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
 
 from perspectra.incidence import (IncidenceError, a_point, b_point, c_point,
-                                  center, verify)
+                                  center, to_json_dict, verify)
 from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  apply_pair_map_to_axis, complete_graph,
                                  count_star_lines, count_top_lines, desargues,
@@ -77,6 +79,14 @@ def test_veblen_labelings_count_and_validity():
     assert len(labelings) == 30
     for axis in labelings:
         assert verify(axis).as_tuple() == (6, 2, 4, 3)
+
+
+def test_veblen_labelings_are_pinned():
+    # every labelling's points and lines, in the order of the census's
+    # labelling indices
+    text = json.dumps([to_json_dict(axis) for axis in all_veblen_labelings()])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "27b6f2f4c7c98fa093f901e1d939b22afe91de9bf555a769a3df12cc70c78d0c"
 
 
 def test_veblen_orbit_structure():

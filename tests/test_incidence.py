@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 from perspectra.incidence import (Configuration, ConfigurationSignature,
                                   IncidenceError, PointLabel, ViolationReport,
                                   a_point, b_point, c_point, center,
-                                  free_point, from_json, join, parse_label,
-                                  third_point, to_dot, to_json, verify)
+                                  free_point, from_json, from_json_dict, join,
+                                  parse_label, third_point, to_dot, to_json,
+                                  verify)
 from perspectra.families import desargues, grassmannian
 
 
@@ -150,6 +151,42 @@ def test_json_rejects_duplicate_labels():
     data = {"points": ["p", "p"], "lines": []}
     with pytest.raises(IncidenceError):
         from_json(json.dumps(data))
+
+
+_PAL = ["p", "a1", "b1"]
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], 'expected {"points": [label, ...], "lines": [[index, ...], ...]}'),
+    ({"points": ["p", 3], "lines": []},
+     'expected {"points": [label, ...], "lines": [[index, ...], ...]}'),
+    ({"points": ["p", "a1", "a01"], "lines": []}, "duplicate point labels"),
+    ({"points": ["c{1,2}", "c{2,1}"], "lines": []}, "duplicate point labels"),
+    ({"points": _PAL, "lines": [[0, 1, 2], (0, 1)]},
+     "line (0, 1) is not a list of point indices"),
+    ({"points": _PAL, "lines": [[0]]}, "line [0] is not a list of point indices"),
+    ({"points": _PAL, "lines": [[0, 1, 3]]}, "line [0, 1, 3]: no point with index 3"),
+    ({"points": _PAL, "lines": [[0, True, 2]]},
+     "line [0, True, 2]: no point with index True"),
+    ({"points": _PAL, "lines": [[0, 1, 1], [0, 5]]},
+     "line [0, 5]: no point with index 5"),
+    ({"points": _PAL, "lines": [[0, 1, 1], [0, 2, 2]]},
+     "repeated point in line [PointLabel('p'), PointLabel('a1'), PointLabel('a1')]"),
+    ({"points": _PAL, "lines": [[0, 1, 2], [2, 1, 0]]}, "duplicate line"),
+])
+def test_json_error_messages_are_pinned(data, message):
+    with pytest.raises(IncidenceError) as caught:
+        from_json_dict(data)
+    assert str(caught.value) == message
+
+
+def test_json_points_and_lines_are_sorted():
+    config = from_json_dict({"points": ["x", "c{2,1}", "b2", "p"],
+                             "lines": [[3, 2, 1], [0, 1]]})
+    assert config == Configuration.build(
+        [free_point("x"), c_point(1, 2), b_point(2), center()],
+        [(center(), b_point(2), c_point(1, 2)), (free_point("x"), c_point(1, 2))])
+    assert config.lines == ((0, 1, 2), (2, 3))
 
 
 def test_dot_export_has_levi_structure():
