@@ -47,12 +47,15 @@ class FreeGraphReport:
 def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
     """Every m-clique in lexicographic order, grown one vertex per level.  A
     clique carries the bitmask of its common neighbours above its last
-    vertex, and grows only by those."""
+    vertex, grows only by those, and is kept only while they can complete
+    it."""
     later = [sum(1 << w for w in nbrs if w > v) for v, nbrs in enumerate(adj)]
     level = [((), (1 << len(adj)) - 1)]
     while level and len(level[0][0]) < m:
-        level = [(clique + (w,), common & later[w])
-                 for clique, common in level for w in _bits(common)]
+        need = m - len(level[0][0]) - 1
+        level = [(clique + (w,), grown) for clique, common in level
+                 for w in _bits(common)
+                 if (grown := common & later[w]).bit_count() >= need]
     return [clique for clique, _ in level]
 
 

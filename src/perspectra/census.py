@@ -11,8 +11,8 @@ from functools import lru_cache
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
-from .perms import (LIFTS, Permutation, all_permutations, cycle_type,
-                    induced_pair_map, parse_cycles, partitions)
+from .perms import (LIFTS, Permutation, all_permutations, induced_pair_map,
+                    orbits, partitions)
 from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
                        grassmannian, kantor, labeling_action, multiveblen,
                        path_graph, quasi_grassmannian, skew_perspective)
@@ -60,6 +60,7 @@ def _entry_invariants(spec: SkewPerspectiveSpec, config: Configuration) -> dict:
     return inv
 
 
+@lru_cache(maxsize=8)
 def _labels(n: int) -> dict:
     """Instance-verified class labels for the degree-n classes."""
     named = [(grassmannian(n + 2), "generalized Desargues configuration")]
@@ -92,79 +93,86 @@ def _classify(family: str, n: int, items) -> list[CensusEntry]:
         elif first < cls[0]:
             cls[:3] = first, spec, config
         cls[3] += members
+    names = {image: str(Permutation(image)) for image in
+             {image for cls in classes.values() for image, _ in cls[3]}}
     return [CensusEntry(family, spec, cert, _entry_invariants(spec, config),
                         labels.get(cert, "new type"), len(members),
-                        tuple((str(Permutation(image)), key)
-                              for image, key in sorted(members)))
+                        tuple((names[image], key) for image, key in sorted(members)))
             for cert, (_, spec, config, members)
             in sorted(classes.items(), key=lambda kv: kv[1][0])]
 
 
+def _conjugation(n: int):
+    """all_permutations(n), the generators (1,2) and (1,...,n) of S_n, and
+    for each generator tau the table of the indices of tau sigma tau^-1."""
+    perms = all_permutations(n)
+    index = {sigma.image: s for s, sigma in enumerate(perms)}
+    taus = [Permutation((2, 1) + tuple(range(3, n + 1))),
+            Permutation(tuple(range(2, n + 1)) + (1,))]
+    tables = []
+    for tau in taus:
+        t_inv = [x - 1 for x in tau.inverse().image]
+        tables.append([index[tuple(tau.image[sigma.image[i] - 1] for i in t_inv)]
+                       for sigma in perms])
+    return perms, taus, tables
+
+
 def classify_grasaxis(n: int):
-    """One class per cycle type over the Grassmannian axis, found by
-    classifying every one of the n! skews generically."""
-    if not 3 <= n <= 6:
-        raise IncidenceError("supported for 3 <= n <= 6")
+    """One class per cycle type over the Grassmannian axis.  Relabelling by
+    tau maps the instance of sigma onto that of tau sigma tau^-1, as the
+    axis is invariant, so only the smallest skew of each conjugacy class is
+    built and canonicalised; p(n) distinct certs then make p(n) classes."""
+    if not 3 <= n <= 8:
+        raise IncidenceError("supported for 3 <= n <= 8")
+    perms, _, tables = _conjugation(n)
     axis = grassmannian(n)
     entries = _classify("grasaxis", n, (
-        ([(sigma.image, "G")], SkewPerspectiveSpec(n, induced_pair_map(sigma), axis))
-        for sigma in all_permutations(n)))
-    # completeness: each class is one cycle type, and there are p(n) classes
-    for e in entries:
-        if len({cycle_type(parse_cycles(skew, n)) for skew, _ in e.members}) != 1:
-            raise AssertionError("class does not match the cycle type")
+        ([(perms[x].image, "G") for x in orbit],
+         SkewPerspectiveSpec(n, induced_pair_map(perms[orbit[0]]), axis))
+        for orbit in orbits(len(perms), tables)))
     if len(entries) != len(partitions(n)):
         raise AssertionError("a cycle type spans several classes")
     return entries
 
 
-@lru_cache(maxsize=1)
-def _n4_orbits() -> tuple[tuple[tuple, ...], ...]:
-    """The orbits of the (sigma, L) pairs, sigma in S4 and L in
-    all_veblen_labelings(), under (sigma, L) -> (tau sigma tau^-1, tau L),
-    each as its (sigma.image, index of L) members with the smallest first;
-    built once per process, as both families share them."""
-    perms = all_permutations(4)
+@lru_cache(maxsize=2)
+def _n4_orbits(tag: str) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the n = 4 instances (sigma, L) of one skew family under
+    S4 x C2, each instance the item s * 30 + l of the indices of sigma in
+    all_permutations(4) and of L in all_veblen_labelings().  Relabelling
+    a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) maps (sigma, L) onto
+    (tau sigma tau^-1, tau L).  Swapping the sides, a_i <-> b_i and
+    c_u -> c_delta(u) with delta = LIFTS[tag](sigma), maps it onto
+    (sigma^-1, delta L), in both families as kappa commutes with induced
+    pair maps; the two commute.  Built once per family."""
+    perms, taus, conj = _conjugation(4)
     labelings = all_veblen_labelings()
-    index = {sigma.image: s for s, sigma in enumerate(perms)}
-    conj = []
-    for tau in perms:
-        tau_inv = tau.inverse()
-        conj.append([index[tuple(tau(sigma(tau_inv(i))) for i in range(1, 5))]
-                     for sigma in perms])
-    relabel = labeling_action(map(induced_pair_map, perms), labelings)
-    seen = set()
-    orbits = []
-    for s in range(len(perms)):
-        for li in range(len(labelings)):
-            if (s, li) not in seen:
-                orbit = {(row[s], labels[li]) for row, labels in zip(conj, relabel)}
-                seen |= orbit
-                orbits.append(tuple((perms[x].image, y) for x, y in sorted(orbit)))
-    return tuple(orbits)
+    size = len(labelings)
+    relabel = labeling_action(map(induced_pair_map, taus), labelings)
+    swap = labeling_action(map(LIFTS[tag], perms), labelings)
+    tables = [[row[s] * size + x for s in range(len(perms)) for x in labels]
+              for row, labels in zip(conj, relabel)]
+    inverse = [perms.index(sigma.inverse()) * size for sigma in perms]
+    tables.append([inv + x for inv, labels in zip(inverse, swap) for x in labels])
+    return tuple(map(tuple, orbits(len(perms) * size, tables)))
 
 
 def census_n4(family: str) -> list[CensusEntry]:
     """The n = 4 census of one skew family, "perm" or "kappa": every skew
-    over every Veblen labeling, one entry per isomorphism class.
-
-    Relabelling a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) by tau in
-    S4 is an isomorphism from the instance (sigma, L) onto
-    (tau sigma tau^-1, tau L), in both families, as kappa commutes with
-    induced pair maps.  So the 720 instances fall into 50 such orbits, and
-    only the smallest member of each is built and canonicalised; the rest of
-    the orbit joins its class.  A class's smallest member is the smallest
-    member of one of its orbits, so the entries are those of classifying
-    every instance."""
+    over every Veblen labeling, one entry per isomorphism class.  Only the
+    smallest member of each orbit of _n4_orbits is built and canonicalised,
+    and the smallest member of a class is one of those, so the entries are
+    those of classifying every instance."""
     tags = {"perm": "induced", "kappa": "kappa"}
     if family not in tags:
         raise IncidenceError(f"unknown census family {family!r}")
-    lift = LIFTS[tags[family]]
-    labelings = all_veblen_labelings()
+    perms, labelings = all_permutations(4), all_veblen_labelings()
+    size, lift = len(labelings), LIFTS[tags[family]]
     return _classify(family, 4, (
-        (orbit, SkewPerspectiveSpec(4, lift(Permutation(orbit[0][0])),
-                                    labelings[orbit[0][1]]))
-        for orbit in _n4_orbits()))
+        ([(perms[x // size].image, x % size) for x in orbit],
+         SkewPerspectiveSpec(4, lift(perms[orbit[0] // size]),
+                             labelings[orbit[0] % size]))
+        for orbit in _n4_orbits(tags[family])))
 
 
 PAPER_PERM_TOTAL = 42

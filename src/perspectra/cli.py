@@ -87,8 +87,11 @@ def _cmd_construct(args):
     n, family = args.n, args.family
     least, reads, build = _FAMILIES[family]
     for flag in ("skew", "kappa", "graph", "axis"):
-        if getattr(args, flag) not in (None, False) and flag not in reads:
+        value = getattr(args, flag)
+        if value not in (None, False) and flag not in reads:
             raise IncidenceError(f"--{flag} does not apply to --family {family}")
+        if value == "":
+            raise IncidenceError(f"--{flag} must not be empty")
     if n != 4 and (family == "zeta" or args.kappa):
         what = "kappa" if args.kappa else "zeta"
         raise IncidenceError(f"the {what} skew is only defined for n=4")

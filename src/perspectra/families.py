@@ -7,13 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center, free_point, require_signature)
 from .perms import (LIFTS, PairPermutation, Permutation, all_permutations,
-                    induced_pair_map, kappa, kappa_composed,
+                    induced_pair_map, kappa, kappa_composed, orbits,
                     pair_perm_from_dict, pairs_of, parse_cycles, star, top)
 
 
@@ -149,23 +149,20 @@ def count_star_lines(axis: Configuration) -> int:
 
 @lru_cache(maxsize=1)
 def all_veblen_labelings() -> tuple[Configuration, ...]:
-    """Every Veblen ((6,2,4,3)) configuration on the fixed 6 pair-points,
-    enumerated once per process."""
-    pts = pairs_of(4)
-    triples = list(combinations(pts, 3))
+    """Every Veblen ((6,2,4,3)) configuration on the fixed 6 pair-points, in
+    the lexicographic order of their sorted lines; built once per process.
+    In one, each point misses exactly one other, so the missing pairs are a
+    perfect matching, and the lines are the transversals of that matching
+    that pick the second point of an even number of pairs, or of an odd
+    number: two labellings per matching."""
     out = []
-    for four in combinations(triples, 4):
-        flat = [u for line in four for u in line]
-        if sorted(flat) != sorted(pts * 2):
-            continue
-        ok = True
-        for l1, l2 in combinations(four, 2):
-            if len(set(l1) & set(l2)) > 1:
-                ok = False
-                break
-        if ok:
-            out.append(_axis_from_pair_lines(four))
-    return tuple(out)
+    for matching in combinations(combinations(pairs_of(4), 2), 3):
+        if len({u for pair in matching for u in pair}) == 6:
+            for parity in (0, 1):
+                out.append(sorted(tuple(sorted(line)) for k, line
+                                  in enumerate(product(*matching))
+                                  if k.bit_count() % 2 == parity))
+    return tuple(map(_axis_from_pair_lines, sorted(out)))
 
 
 @dataclass(frozen=True)
@@ -190,17 +187,15 @@ def labeling_action(maps, labelings) -> list[tuple[int, ...]]:
 def enumerate_veblen() -> VeblenEnumeration:
     labelings = all_veblen_labelings()
     # kappa commutes with every induced map and kappa^2 = id, so these 48
-    # maps form a group: the orbit of a labeling is the set of its images
+    # maps form a group
     maps = [lift(phi) for lift in LIFTS.values() for phi in all_permutations(4)]
-    action = labeling_action(maps, labelings)
-    orbit_of = [tuple(sorted({row[i] for row in action}))
-                for i in range(len(labelings))]
-    orbits = sorted(set(orbit_of))
+    orbs = tuple(map(tuple, orbits(len(labelings), labeling_action(maps, labelings))))
+    orbit_of = {x: k for k, orbit in enumerate(orbs) for x in orbit}
     key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
-    catalog_orbit = {name: orbits.index(orbit_of[key_of[_line_pair_sets(axis)]])
+    catalog_orbit = {name: orbit_of[key_of[_line_pair_sets(axis)]]
                      for name, axis in veblen_catalog().items()}
-    return VeblenEnumeration(labelings, tuple(orbits), catalog_orbit,
-                             set(catalog_orbit.values()) == set(range(len(orbits))))
+    return VeblenEnumeration(labelings, orbs, catalog_orbit,
+                             set(catalog_orbit.values()) == set(range(len(orbs))))
 
 
 def veblen_catalog() -> dict:

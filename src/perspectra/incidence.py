@@ -281,21 +281,27 @@ def from_json_dict(data: dict) -> Configuration:
             and all(isinstance(t, str) for t in data["points"])):
         raise IncidenceError('expected {"points": [label, ...], "lines": [[index, ...], ...]}')
     labels = [parse_label(t) for t in data["points"]]
-    if len(set(labels)) != len(labels):
+    keys = [lab.sort_key() for lab in labels]
+    order = sorted(range(len(labels)), key=keys.__getitem__)
+    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
         raise IncidenceError("duplicate point labels")
+    position = {old: new for new, old in enumerate(order)}
     lines = []
     for line in data["lines"]:
         if not isinstance(line, list) or len(line) < 2:
             raise IncidenceError(f"line {line!r} is not a list of point indices")
-        lines.append([])
         for i in line:
             if type(i) is not int or not 0 <= i < len(labels):
                 raise IncidenceError(f"line {line!r}: no point with index {i!r}")
-            lines[-1].append(labels[i])
-    config = Configuration.build(labels, lines)
-    if len(config.lines) != len(lines):
+        lines.append(tuple(sorted(map(position.__getitem__, line))))
+    for line, idxs in zip(data["lines"], lines):
+        if len(set(idxs)) != len(idxs):
+            raise IncidenceError("repeated point in line "
+                                 f"{list(map(labels.__getitem__, line))}")
+    unique = set(lines)
+    if len(unique) != len(lines):
         raise IncidenceError("duplicate line")
-    return config
+    return Configuration(tuple(map(labels.__getitem__, order)), tuple(sorted(unique)))
 
 
 def from_json(text: str) -> Configuration:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -66,14 +67,18 @@ class _CanonSearch:
         shares a line with, of the points collinear with both: with one line
         size this orders the points as (rank, triangles through the point)
         would (nauty's adjtriang invariant).  Neighbourhoods are bitmasks,
-        and as two lines share at most one point, the points u are those of
-        v's lines other than v, each once."""
+        and as two lines share at most one point, each collinear pair {u, v}
+        lies on one line and is counted once, for both of its points."""
         masks = [sum(1 << v for v in line) for line in self.lines]
         near = [functools.reduce(int.__or__, map(masks.__getitem__, lines), 0)
                 & ~(1 << v) for v, lines in enumerate(self.lines_of_point)]
-        sigs = [(len(lines), sum((near[v] & near[u]).bit_count()
-                                 for i in lines for u in self.lines[i] if u != v))
-                for v, lines in enumerate(self.lines_of_point)]
+        triangles = [0] * self.n
+        for line in self.lines:
+            for u, v in itertools.combinations(line, 2):
+                common = (near[u] & near[v]).bit_count()
+                triangles[u] += common
+                triangles[v] += common
+        sigs = list(zip(map(len, self.lines_of_point), triangles))
         lut = {s: i for i, s in enumerate(sorted(set(sigs)))}
         return [lut[s] for s in sigs]
 
@@ -115,7 +120,7 @@ class _CanonSearch:
         is an automorphism: store it and jump back to where the paths part."""
         self.leaves += 1
         perm = tuple(colors)
-        canon = tuple(sorted(tuple(sorted(perm[u] for u in line))
+        canon = tuple(sorted(tuple(sorted(map(perm.__getitem__, line)))
                              for line in self.lines))
         if self.best_lines is None or canon < self.best_lines:
             self.best_lines, self.best_perm, self.best_path = canon, perm, path

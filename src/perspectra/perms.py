@@ -100,10 +100,6 @@ def parse_cycles(text: str, n: int) -> Permutation:
     return Permutation(tuple(img))
 
 
-def cycle_type(sigma: Permutation) -> tuple[int, ...]:
-    return tuple(sorted(len(c) for c in sigma.cycles()))
-
-
 # ---------------------------------------------------------------------------
 # pairs and pair permutations
 
@@ -178,6 +174,27 @@ def kappa_composed(phi: Permutation) -> PairPermutation:
 
 
 LIFTS = {"induced": induced_pair_map, "kappa": kappa_composed}
+
+
+def orbits(size: int, generators) -> list[list[int]]:
+    """The orbits of range(size) under the group that the generators, each a
+    permutation table of range(size), generate: each orbit sorted, in the
+    order of the orbits' smallest members."""
+    root = list(range(size))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for table in generators:
+        for x, y in enumerate(table):
+            x, y = sorted((find(x), find(y)))
+            root[y] = x
+    out = {}
+    for x in range(size):
+        out.setdefault(find(x), []).append(x)
+    return list(out.values())
 
 
 def star(i: int, n: int) -> frozenset[tuple[int, int]]:

@@ -1,17 +1,25 @@
 """Test-only reference helpers: brute-force permutation-group computations,
-the alternate-center condition, the empty graph, the Veronesian two-letter
-clique candidates and the sorting canonical-form seed and refinement.  They
-back claims the tests check; the library itself does not need them.
+the alternate-center condition, the Veblen labellings by exhaustive search,
+the Grassmannian-axis classification by a sweep over every skew, the empty
+graph, the Veronesian two-letter clique candidates and the sorting
+canonical-form seed and refinement.  They back claims the tests check; the
+library itself does not need them.
 """
 
 from itertools import combinations, permutations
 
+from perspectra import census
 from perspectra.analysis import third_graph_criterion
-from perspectra.families import SkewPerspectiveSpec, _line_pair_sets
-from perspectra.incidence import (IncidenceError, c_point, free_point,
-                                  third_point)
-from perspectra.perms import (Permutation, all_permutations, cycle_type,
-                              induced_pair_map, kappa_composed)
+from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
+                                 grassmannian)
+from perspectra.incidence import (Configuration, IncidenceError, c_point,
+                                  free_point, third_point)
+from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
+                              kappa_composed, pairs_of, parse_cycles)
+
+
+def cycle_type(sigma: Permutation) -> tuple[int, ...]:
+    return tuple(sorted(len(c) for c in sigma.cycles()))
 
 
 def are_conjugate(s1: Permutation, s2: Permutation):
@@ -128,6 +136,35 @@ def movecenter_condition(spec: SkewPerspectiveSpec, i0: int):
         if ok:
             return tau
     return None
+
+
+def veblen_labelings_by_subsets():
+    """Every Veblen configuration on the 6 pair-points of {1..4}, found by
+    testing each of the 4,845 four-sets of triples: each point on two lines,
+    two lines sharing at most one point; in the order of the four-sets."""
+    pts = pairs_of(4)
+    out = []
+    for four in combinations(combinations(pts, 3), 4):
+        if (sorted(u for line in four for u in line) == sorted(pts * 2)
+                and all(len(set(l1) & set(l2)) <= 1
+                        for l1, l2 in combinations(four, 2))):
+            out.append(Configuration.build(
+                [c_point(*u) for u in pts],
+                [tuple(c_point(*u) for u in line) for line in four]))
+    return out
+
+
+def grasaxis_by_sweep(n: int):
+    """classify_grasaxis(n) by canonicalising every one of the n! skews on
+    its own; each class must hold a single cycle type."""
+    axis = grassmannian(n)
+    entries = census._classify("grasaxis", n, (
+        ([(sigma.image, "G")], SkewPerspectiveSpec(n, induced_pair_map(sigma), axis))
+        for sigma in all_permutations(n)))
+    for e in entries:
+        if len({cycle_type(parse_cycles(skew, n)) for skew, _ in e.members}) != 1:
+            raise AssertionError("class does not match the cycle type")
+    return entries
 
 
 def empty_graph(n: int):

@@ -18,15 +18,14 @@ from perspectra.families import (apply_pair_map_to_axis, enumerate_veblen,
                                  skew_perspective, veblen_catalog, veronesian)
 from perspectra.analysis import (free_complete_subgraphs, free_count,
                                  preserves_intersection, reperspective)
-from perspectra.perms import (Permutation, all_permutations, cycle_type,
-                              induced_pair_map, kappa_composed, pairs_of,
-                              partitions)
+from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
+                              kappa_composed, pairs_of, partitions)
 from perspectra.iso import are_isomorphic, criterion_iso
 from perspectra.realize import (closure_check, embed_search,
                                 fez_closure_witness, parametric_realization,
                                 verify_realization)
 
-from reference import veronesian_two_letter_set
+from reference import cycle_type, veronesian_two_letter_set
 
 
 def test_criterion_01_n3_classification():

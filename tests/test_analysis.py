@@ -125,7 +125,7 @@ def test_reperspective_roundtrip_on_skew():
     out = reperspective(config, center(), g1, g2)
     assert out.n == 4
     assert out.delta.tag == "induced"
-    from perspectra.perms import cycle_type
+    from reference import cycle_type
     assert cycle_type(out.delta.phi) == (1, 1, 2)
 
 

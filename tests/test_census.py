@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import math
+import random
 import re
 
 import pytest
@@ -13,14 +15,16 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                census_n4, classify_grasaxis, full_census,
                                identify)
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
-                                 all_veblen_labelings, apply_pair_map_to_axis,
-                                 desargues, enumerate_veblen, fez,
-                                 grassmannian, kantor, multiveblen, path_graph,
-                                 perm_spec, quasi_grassmannian,
-                                 skew_perspective)
-from perspectra.iso import canonical_form
-from perspectra.perms import (all_permutations, induced_pair_map,
-                              kappa_composed, partitions)
+                                 all_veblen_labelings, desargues,
+                                 enumerate_veblen, fez, grassmannian, kantor,
+                                 multiveblen, path_graph, perm_spec,
+                                 quasi_grassmannian, skew_perspective)
+from perspectra.incidence import a_point, b_point, c_point, center
+from perspectra.iso import canonical_form, is_isomorphism
+from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
+                              kappa_composed, pairs_of, partitions)
+
+from reference import grasaxis_by_sweep, veblen_labelings_by_subsets
 
 
 def test_classify_grasaxis_n3_names():
@@ -35,7 +39,6 @@ def test_classify_grasaxis_counts_match_partitions():
     for n in (3, 4, 5):
         entries = classify_grasaxis(n)
         assert len(entries) == len(partitions(n))
-        import math
         assert sum(e.class_size for e in entries) == math.factorial(n)
 
 
@@ -43,7 +46,39 @@ def test_classify_grasaxis_rejects_out_of_range():
     with pytest.raises(IncidenceError):
         classify_grasaxis(2)
     with pytest.raises(IncidenceError):
-        classify_grasaxis(7)
+        classify_grasaxis(9)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_classify_grasaxis_matches_the_full_sweep(n):
+    # second method for the conjugacy-class orbits: canonicalise all n! skews
+    assert classify_grasaxis(n) == grasaxis_by_sweep(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_conjugation_relabelling_is_an_isomorphism(n):
+    # a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) maps Pi(n, sigma, G)
+    # onto Pi(n, tau sigma tau^-1, G), for sampled sigma and tau
+    rng = random.Random(n)
+    for _ in range(3):
+        sigma, tau = (Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                      for _ in range(2))
+        mapping = {center(): center()}
+        for i in range(1, n + 1):
+            mapping[a_point(i)] = a_point(tau(i))
+            mapping[b_point(i)] = b_point(tau(i))
+        for i, j in pairs_of(n):
+            mapping[c_point(i, j)] = c_point(tau(i), tau(j))
+        conj = tau.compose(sigma).compose(tau.inverse())
+        assert is_isomorphism(skew_perspective(perm_spec(n, sigma)),
+                              skew_perspective(perm_spec(n, conj)), mapping)
+
+
+def test_classify_grasaxis_up_to_the_cap():
+    for n in (7, 8):
+        entries = classify_grasaxis(n)
+        assert len(entries) == len(partitions(n))
+        assert sum(e.class_size for e in entries) == math.factorial(n)
 
 
 def test_classify_grasaxis_n4_known_labels():
@@ -239,18 +274,21 @@ def _search_totals(forms):
 def test_census_search_totals_are_pinned(monkeypatch, labelled_sweep):
     # the search tree the canonical-form kernel walks: summed over the 1,442
     # distinct forms of every labelled instance and of the class labels, over
-    # the 102 full_census computes (one instance per S4-orbit of (skew,
-    # labelling), plus the two labels that are no instance), and for G(9)
+    # the 71 a cold full_census computes (one instance per S4 x C2 orbit of
+    # (skew, labelling), plus the two labels that are no instance), and for
+    # G(9)
     forms = _record_forms(monkeypatch)
+    census._labels.cache_clear()
     census._labels(4)
     forms.update(labelled_sweep.values())
     assert len(forms) == 1442
     assert _search_totals(forms) == {"nodes": 4191, "leaves": 2816,
                                      "refine_rounds": 8925, "generators": 1080}
     forms.clear()
+    census._labels.cache_clear()
     full_census()
-    assert len(forms) == 102
-    assert _search_totals(forms)["nodes"] == 503
+    assert len(forms) == 71
+    assert _search_totals(forms)["nodes"] == 388
     stats = canonical_form(grassmannian(9)).stats
     assert (stats["nodes"], stats["leaves"], stats["refine_rounds"],
             stats["generators"]) == (42, 9, 74, 8)
@@ -268,21 +306,35 @@ def test_every_labelled_instance_is_in_its_census_class(census_report,
         assert form.cert == entry_of[instance].canonical_hash
 
 
+def _image(pmap, lines):
+    return frozenset(frozenset(map(pmap, line)) for line in lines)
+
+
 def test_census_orbit_count_is_burnsides(monkeypatch):
-    # Burnside: the S4-orbits of (sigma, L) under (sigma, L) ->
-    # (tau sigma tau^-1, tau L) number the mean over tau of the pairs tau
-    # fixes, |centraliser of tau| times |labellings tau fixes|
+    # Burnside: the orbits of (sigma, L) under a group number the mean over
+    # its elements of the pairs each fixes.  Under S4 alone,
+    # (sigma, L) -> (tau sigma tau^-1, tau L), a pair is fixed when tau
+    # commutes with sigma and fixes L; with the a/b swap, which maps it onto
+    # (sigma^-1, delta L) for delta = lift(sigma), S4 x C2 also fixes the
+    # pairs with tau sigma^-1 tau^-1 = sigma and tau delta L = L
     perms = all_permutations(4)
-    labelings = all_veblen_labelings()
+    line_sets = [_line_pair_sets(axis) for axis in all_veblen_labelings()]
     fixed = [sum(tau.compose(sigma) == sigma.compose(tau) for sigma in perms)
-             * sum(_line_pair_sets(apply_pair_map_to_axis(induced_pair_map(tau), axis))
-                   == _line_pair_sets(axis) for axis in labelings)
+             * sum(_image(induced_pair_map(tau), lines) == lines
+                   for lines in line_sets)
              for tau in perms]
     assert sum(fixed) % len(perms) == 0
-    orbits = sum(fixed) // len(perms)
-    assert orbits == 50
-    # the census builds one instance per orbit
-    for family in ("perm", "kappa"):
+    assert sum(fixed) // len(perms) == 50
+    for family, lift, orbits in (("perm", induced_pair_map, 44),
+                                 ("kappa", kappa_composed, 25)):
+        swapped = sum(
+            _image(induced_pair_map(tau).compose(lift(sigma)), lines) == lines
+            for tau in perms for sigma in perms
+            if tau.compose(sigma.inverse()).compose(tau.inverse()) == sigma
+            for lines in line_sets)
+        assert (sum(fixed) + swapped) % (2 * len(perms)) == 0
+        assert (sum(fixed) + swapped) // (2 * len(perms)) == orbits
+        # the census builds one instance per orbit
         built = []
         monkeypatch.setattr(census, "skew_perspective",
                             lambda spec: built.append(spec) or skew_perspective(spec))
@@ -290,14 +342,44 @@ def test_census_orbit_count_is_burnsides(monkeypatch):
         assert len(built) == orbits
 
 
+@pytest.mark.parametrize("family, lift", [("perm", induced_pair_map),
+                                          ("kappa", kappa_composed)])
+def test_side_swap_is_an_isomorphism(family, lift):
+    # a_i <-> b_i, c_u -> c_delta(u) maps the instance (sigma, L) onto
+    # (sigma^-1, delta L), delta = lift(sigma), for every one of the 720
+    labelings = all_veblen_labelings()
+    index = {_line_pair_sets(axis): li for li, axis in enumerate(labelings)}
+    configs = {(sigma.image, li): skew_perspective(SkewPerspectiveSpec(4, lift(sigma), axis))
+               for sigma in all_permutations(4) for li, axis in enumerate(labelings)}
+    for sigma in all_permutations(4):
+        delta = lift(sigma)
+        mapping = {center(): center()}
+        for i in range(1, 5):
+            mapping[a_point(i)], mapping[b_point(i)] = b_point(i), a_point(i)
+        for u in pairs_of(4):
+            mapping[c_point(*u)] = c_point(*delta(u))
+        for li, axis in enumerate(labelings):
+            target = index[_image(delta, _line_pair_sets(axis))]
+            assert is_isomorphism(configs[sigma.image, li],
+                                  configs[sigma.inverse().image, target], mapping)
+
+
+def test_veblen_labelings_match_the_exhaustive_search():
+    # the 30 labellings built from perfect matchings are those of the 4,845
+    # four-sets of triples, in the same order
+    assert list(all_veblen_labelings()) == veblen_labelings_by_subsets()
+
+
 def test_veblen_labelings_and_orbits_are_built_once():
-    # the first census enumerates the labellings and builds the orbit
-    # tables; the other family's census and enumerate_veblen reuse both
-    tables = (all_veblen_labelings, census._n4_orbits)
+    # the first census enumerates the labellings, builds its family's orbit
+    # tables and the class labels; the other family's census builds its own
+    # orbit tables only, and enumerate_veblen and a repeated census reuse all
+    tables = (all_veblen_labelings, census._n4_orbits, census._labels)
     for table in tables:
         table.cache_clear()
     census_n4("perm")
-    assert [table.cache_info().misses for table in tables] == [1, 1]
+    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
     census_n4("kappa")
+    census_n4("perm")
     assert enumerate_veblen().labelings is all_veblen_labelings()
-    assert [table.cache_info().misses for table in tables] == [1, 1]
+    assert [table.cache_info().misses for table in tables] == [1, 2, 1]

@@ -104,6 +104,21 @@ def test_construct_rejects_flags_the_family_ignores(tmp_path, capsys, argv,
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--family", "mveb", "--graph="], "graph"),
+    (["--family", "skew", "--skew=", "--axis="], "skew"),
+    (["--family", "skew", "--skew", "(1,2)", "--axis="], "axis"),
+    (["--family", "zeta", "--axis", ""], "axis"),
+], ids=["mveb-graph", "skew-skew-axis", "skew-axis", "zeta-axis"])
+def test_construct_rejects_empty_values(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.json"
+    assert run(["construct", *argv, "--n", "4", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --{flag} must not be empty\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, n, least", [
     ("gras", -2, 3), ("gras", 0, 3), ("gras", 1, 3), ("gras", 2, 3),
     ("skew", 2, 3), ("mveb", 2, 3), ("quasigras", 3, 4), ("veronese", 0, 1),

@@ -17,10 +17,10 @@ from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  perm_spec, quasi_grassmannian,
                                  quasi_grassmannian_perm, skew_perspective,
                                  veblen_catalog, veronesian, zeta)
-from perspectra.perms import cycle_type, kappa, pairs_of
+from perspectra.perms import kappa, pairs_of
 from perspectra.iso import are_isomorphic
 
-from reference import empty_graph, veronesian_two_letter_set
+from reference import cycle_type, empty_graph, veronesian_two_letter_set
 
 
 def test_skew_perspective_signature():

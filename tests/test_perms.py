@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from perspectra.perms import (PairPermutation, Permutation, all_permutations,
-                              cycle_type, identity, induced_pair_map, kappa,
-                              kappa_composed, pairs_of, parse_cycles,
-                              partitions, star, top)
+                              identity, induced_pair_map, kappa, kappa_composed,
+                              orbits, pairs_of, parse_cycles, partitions, star,
+                              top)
 
 from reference import (are_conjugate, aut_group, conjugacy_reps_under,
-                       representative_of_type)
+                       cycle_type, representative_of_type)
 
 
 perm_st = st.integers(min_value=2, max_value=6).flatmap(
@@ -142,3 +142,38 @@ def test_veblen_aut_group_sizes():
         # swaps top-lines with star-lines, so no kappa-composed map fixes them
         if name in ("G", "G*"):
             assert len(ind) == 24 and len(kap) == 0
+
+
+def _table(size, *cycles):
+    table = list(range(size))
+    for cycle in cycles:
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            table[x] = y
+    return table
+
+
+def test_orbits_of_a_small_group():
+    # <(6 7), (5 6), (3 1 7)> on range(8): the orbit {1, 3, 5, 6, 7} is joined
+    # through roots that are not its smallest member
+    gens = [_table(8, (6, 7)), _table(8, (5, 6)), _table(8, (3, 1, 7))]
+    assert orbits(8, gens) == [[0], [1, 3, 5, 6, 7], [2], [4]]
+    assert orbits(8, gens[::-1]) == orbits(8, gens)
+    assert orbits(3, []) == [[0], [1], [2]]
+    assert orbits(0, []) == []
+
+
+def test_orbits_of_conjugation_are_the_cycle_types():
+    # S4 acting on itself by conjugation, generated by (1,2) and (1,2,3,4):
+    # the orbits are the five conjugacy classes, checked against the closure
+    perms = all_permutations(4)
+    index = {sigma.image: s for s, sigma in enumerate(perms)}
+    gens = [parse_cycles("(1,2)", 4), parse_cycles("(1,2,3,4)", 4)]
+    tables = [[index[tau.compose(sigma).compose(tau.inverse()).image]
+               for sigma in perms] for tau in gens]
+    closure = {frozenset(index[tau.compose(sigma).compose(tau.inverse()).image]
+                         for tau in perms) for sigma in perms}
+    found = orbits(len(perms), tables)
+    assert sorted(map(frozenset, found), key=min) == sorted(closure, key=min)
+    assert [len(orbit) for orbit in found] == [1, 6, 8, 3, 6]
+    assert all(orbit == sorted(orbit) for orbit in found)
+    assert [orbit[0] for orbit in found] == sorted(orbit[0] for orbit in found)
