@@ -12,7 +12,7 @@ from functools import lru_cache
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
 from .perms import (LIFTS, Permutation, all_permutations, induced_pair_map,
-                    orbits, partitions)
+                    kappa, orbits, partitions)
 from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
                        grassmannian, kantor, labeling_action, multiveblen,
                        path_graph, quasi_grassmannian, skew_perspective)
@@ -135,26 +135,28 @@ def classify_grasaxis(n: int):
     return entries
 
 
-@lru_cache(maxsize=2)
-def _n4_orbits(tag: str) -> tuple[tuple[int, ...], ...]:
-    """The orbits of the n = 4 instances (sigma, L) of one skew family under
-    S4 x C2, each instance the item s * 30 + l of the indices of sigma in
-    all_permutations(4) and of L in all_veblen_labelings().  Relabelling
-    a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) maps (sigma, L) onto
-    (tau sigma tau^-1, tau L).  Swapping the sides, a_i <-> b_i and
-    c_u -> c_delta(u) with delta = LIFTS[tag](sigma), maps it onto
-    (sigma^-1, delta L), in both families as kappa commutes with induced
-    pair maps; the two commute.  Built once per family."""
+@lru_cache(maxsize=1)
+def _n4_orbits() -> dict:
+    """Per skew family tag, the S4 x C2 orbits of the n = 4 instances: the
+    items s * 30 + l, sigma = all_permutations(4)[s], L = labelings[l].
+    Relabelling a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) maps
+    (sigma, L) onto (tau sigma tau^-1, tau L); swapping the sides, a_i <->
+    b_i and c_u -> c_delta(u) for delta = LIFTS[tag](sigma), maps it onto
+    (sigma^-1, delta L).  As kappa commutes with induced pair maps, the two
+    commute, and for kappa delta L is kappa of the induced image."""
     perms, taus, conj = _conjugation(4)
     labelings = all_veblen_labelings()
     size = len(labelings)
-    relabel = labeling_action(map(induced_pair_map, taus), labelings)
-    swap = labeling_action(map(LIFTS[tag], perms), labelings)
-    tables = [[row[s] * size + x for s in range(len(perms)) for x in labels]
-              for row, labels in zip(conj, relabel)]
+    *induced, complement = labeling_action(
+        [*map(induced_pair_map, perms), kappa()], labelings)
+    tables = [[row[s] * size + x for s in range(len(perms))
+               for x in induced[perms.index(tau)]] for row, tau in zip(conj, taus)]
     inverse = [perms.index(sigma.inverse()) * size for sigma in perms]
-    tables.append([inv + x for inv, labels in zip(inverse, swap) for x in labels])
-    return tuple(map(tuple, orbits(len(perms) * size, tables)))
+    swaps = {"induced": induced,
+             "kappa": [[complement[x] for x in row] for row in induced]}
+    return {tag: tuple(map(tuple, orbits(len(perms) * size, tables + [
+                [inv + x for inv, row in zip(inverse, swap) for x in row]])))
+            for tag, swap in swaps.items()}
 
 
 def census_n4(family: str) -> list[CensusEntry]:
@@ -172,7 +174,7 @@ def census_n4(family: str) -> list[CensusEntry]:
         ([(perms[x // size].image, x % size) for x in orbit],
          SkewPerspectiveSpec(4, lift(perms[orbit[0] // size]),
                              labelings[orbit[0] % size]))
-        for orbit in _n4_orbits(tags[family])))
+        for orbit in _n4_orbits()[tags[family]]))
 
 
 PAPER_PERM_TOTAL = 42

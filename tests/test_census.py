@@ -371,9 +371,9 @@ def test_veblen_labelings_match_the_exhaustive_search():
 
 
 def test_veblen_labelings_and_orbits_are_built_once():
-    # the first census enumerates the labellings, builds its family's orbit
-    # tables and the class labels; the other family's census builds its own
-    # orbit tables only, and enumerate_veblen and a repeated census reuse all
+    # the first census enumerates the labellings and builds the orbit tables
+    # of both families and the class labels; the other family's census,
+    # enumerate_veblen and a repeated census reuse all three
     tables = (all_veblen_labelings, census._n4_orbits, census._labels)
     for table in tables:
         table.cache_clear()
@@ -382,4 +382,4 @@ def test_veblen_labelings_and_orbits_are_built_once():
     census_n4("kappa")
     census_n4("perm")
     assert enumerate_veblen().labelings is all_veblen_labelings()
-    assert [table.cache_info().misses for table in tables] == [1, 2, 1]
+    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
