@@ -182,7 +182,7 @@ def canonical_form(config: Configuration) -> CanonicalForm:
 
 
 # The size holds the forms of all 1,440 labelled n = 4 instances and the two
-# census labels that are none of them (1,442, a superset of the 102 that
+# census labels that are none of them (1,442, a superset of the 71 that
 # full_census computes) plus one relabelled pass over the 1,440 instances.
 @functools.lru_cache(maxsize=4096)
 def _canonical(n: int, lines: tuple) -> CanonicalForm:

@@ -15,10 +15,11 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                census_n4, classify_grasaxis, full_census,
                                identify)
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
-                                 all_veblen_labelings, desargues,
-                                 enumerate_veblen, fez, grassmannian, kantor,
-                                 multiveblen, path_graph, perm_spec,
-                                 quasi_grassmannian, skew_perspective)
+                                 all_veblen_labelings, apply_pair_map_to_axis,
+                                 desargues, enumerate_veblen, fez,
+                                 grassmannian, kantor, multiveblen, path_graph,
+                                 perm_spec, quasi_grassmannian,
+                                 skew_perspective)
 from perspectra.incidence import a_point, b_point, c_point, center
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
@@ -318,13 +319,14 @@ def test_census_orbit_count_is_burnsides(monkeypatch):
     # (sigma^-1, delta L) for delta = lift(sigma), S4 x C2 also fixes the
     # pairs with tau sigma^-1 tau^-1 = sigma and tau delta L = L
     perms = all_permutations(4)
-    line_sets = [_line_pair_sets(axis) for axis in all_veblen_labelings()]
+    labelings = all_veblen_labelings()
     fixed = [sum(tau.compose(sigma) == sigma.compose(tau) for sigma in perms)
-             * sum(_image(induced_pair_map(tau), lines) == lines
-                   for lines in line_sets)
+             * sum(_line_pair_sets(apply_pair_map_to_axis(induced_pair_map(tau), axis))
+                   == _line_pair_sets(axis) for axis in labelings)
              for tau in perms]
     assert sum(fixed) % len(perms) == 0
     assert sum(fixed) // len(perms) == 50
+    line_sets = list(map(_line_pair_sets, labelings))
     for family, lift, orbits in (("perm", induced_pair_map, 44),
                                  ("kappa", kappa_composed, 25)):
         swapped = sum(
@@ -342,9 +344,9 @@ def test_census_orbit_count_is_burnsides(monkeypatch):
         assert len(built) == orbits
 
 
-@pytest.mark.parametrize("family, lift", [("perm", induced_pair_map),
-                                          ("kappa", kappa_composed)])
-def test_side_swap_is_an_isomorphism(family, lift):
+@pytest.mark.parametrize("lift", [induced_pair_map, kappa_composed],
+                         ids=["perm", "kappa"])
+def test_side_swap_is_an_isomorphism(lift):
     # a_i <-> b_i, c_u -> c_delta(u) maps the instance (sigma, L) onto
     # (sigma^-1, delta L), delta = lift(sigma), for every one of the 720
     labelings = all_veblen_labelings()
