@@ -1,15 +1,21 @@
 """Free subgraphs, skew classification, alternate centers, reperspective."""
 
+import hashlib
+import json
+from itertools import permutations
+
 import pytest
 
-from perspectra.incidence import IncidenceError, a_point, b_point, c_point, center
+from perspectra.incidence import (IncidenceError, a_point, b_point, c_point,
+                                  center, to_json_dict)
 from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  free_count, is_freely_contained,
                                  preserves_intersection, reperspective,
                                  third_graph_criterion)
-from perspectra.families import (desargues, grassmannian, kappa_spec,
-                                 perm_spec, quasi_grassmannian,
-                                 skew_perspective, veronesian, zeta)
+from perspectra.families import (desargues, fez, grassmannian, kantor,
+                                 kappa_spec, multiveblen, perm_spec,
+                                 quasi_grassmannian, skew_perspective,
+                                 veronesian, zeta)
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, pairs_of, star)
 
@@ -45,6 +51,52 @@ def test_free_report_contains_cliques_and_free_sets():
     assert set(rep.free_sets) <= set(rep.cliques)
     stars = {tuple(sorted(c_point(*u) for u in star(i, 6))) for i in range(1, 7)}
     assert {tuple(sorted(s)) for s in rep.free_sets} == stars
+
+
+def _free_panel(census_report):
+    """(name, configuration, clique sizes) of the pinned free-clique panel."""
+    panel = [(f"census {i}", skew_perspective(e.representative), (5,))
+             for i, e in enumerate(census_report.entries)]
+    panel += [(f"G({n})", grassmannian(n), (3, 4)) for n in (5, 6, 7)]
+    panel += [(f"V({k})", veronesian(k), (3, 4)) for k in (3, 4)]
+    panel += [(f"Q({n})", quasi_grassmannian(n), (3, 4)) for n in (4, 5)]
+    panel += [(name, build(), (3, 4)) for name, build in
+              (("desargues", desargues), ("fez", fez), ("kantor", kantor))]
+    return panel
+
+
+def test_free_complete_subgraphs_are_pinned(census_report):
+    # every clique and every free set, in report order, over the panel
+    text = "\n".join(
+        f"{name} {m} {[list(map(str, x)) for x in report.cliques]} "
+        f"{[list(map(str, x)) for x in report.free_sets]}"
+        for name, config, sizes in _free_panel(census_report) for m in sizes
+        for report in [free_complete_subgraphs(config, m)])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "84dfef13b1829cc78bcbbcadec0509eb4627caa49525a4255a5f1acca5a7bfaa"
+
+
+def test_reperspective_of_the_empty_multiveblen_is_pinned():
+    # every ordered pair of free 5-cliques meeting in one point
+    mv = multiveblen(4, set(), grassmannian(4))
+    specs = []
+    for g1, g2 in permutations(free_complete_subgraphs(mv, 5).free_sets, 2):
+        common = set(g1) & set(g2)
+        if len(common) == 1:
+            q = common.pop()
+            spec = reperspective(mv, q, g1, g2)
+            specs.append(json.dumps([str(q), spec.n, spec.describe_skew(),
+                                     to_json_dict(spec.axis)], sort_keys=True))
+    assert len(specs) == 12
+    assert hashlib.sha256("\n".join(specs).encode()).hexdigest() == \
+        "57b82c0ccd81d48d4a14e09a963f38b7c084c520553de6f68ef68b34c631c405"
+
+
+def test_repeated_vertex_is_not_free():
+    g = grassmannian(5)
+    x, y = c_point(1, 2), c_point(1, 3)
+    assert is_freely_contained(g, [x, y])
+    assert is_freely_contained(g, [x, x, y]) is False
 
 
 def test_free_subgraphs_reject_negative_size():
