@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .incidence import (Configuration, IncidenceError, PointLabel, a_point,
-                        adjacency_indices, b_point, c_point, third_point)
+                        b_point, c_point, require_partial_linear, third_point)
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
@@ -16,25 +16,34 @@ from .families import SkewPerspectiveSpec, skew_perspective
 from .iso import are_isomorphic
 
 
-def is_freely_contained(config: Configuration, vertices) -> bool:
-    """Freeness from the definition: every edge lies on a line, the edge-to-
-    line map is injective, and lines of disjoint edges share no point."""
-    idxs = [config.index_of(v) for v in vertices]
-    joins = config._joins
-    edge_lines = {}
-    for x, y in combinations(sorted(idxs), 2):
+def _is_free(joins: dict, clique) -> bool:
+    """A clique of point indices is free when every edge spans a line and the
+    points of those lines off their edges are pairwise distinct and off the
+    clique.  In a partial linear space that is the definition: two edges on
+    one line put a clique point off one of them, and the lines of two
+    disjoint edges can only meet off both.  A repeated vertex spans no line."""
+    seen = 0
+    for v in clique:
+        seen |= 1 << v
+    for x, y in combinations(clique, 2):
         line = joins.get((x, y))
         if line is None:
             return False
-        edge_lines[(x, y)] = line
-    if len(set(edge_lines.values())) != len(edge_lines):
-        return False
-    for e1, e2 in combinations(edge_lines, 2):
-        if set(e1) & set(e2):
-            continue
-        if set(edge_lines[e1]) & set(edge_lines[e2]):
-            return False
+        for p in line:
+            if p != x and p != y:
+                if seen >> p & 1:
+                    return False
+                seen |= 1 << p
     return True
+
+
+def is_freely_contained(config: Configuration, vertices) -> bool:
+    """Whether the points span a freely contained complete subgraph: every
+    edge lies on a line, the edge-to-line map is injective, and lines of
+    disjoint edges share no point.  Raises IncidenceError unless config is
+    a partial linear space whose lines all have one size."""
+    require_partial_linear(config)
+    return _is_free(config._joins, [config.index_of(v) for v in vertices])
 
 
 @dataclass(frozen=True)
@@ -44,13 +53,16 @@ class FreeGraphReport:
     free_sets: tuple
 
 
-def _cliques_of_size(adj: list[set[int]], m: int) -> list[tuple[int, ...]]:
-    """Every m-clique in lexicographic order, grown one vertex per level.  A
-    clique carries the bitmask of its common neighbours above its last
-    vertex, grows only by those, and is kept only while they can complete
-    it."""
-    later = [sum(1 << w for w in nbrs if w > v) for v, nbrs in enumerate(adj)]
-    level = [((), (1 << len(adj)) - 1)]
+def _cliques_of_size(config: Configuration, m: int) -> list[tuple[int, ...]]:
+    """Every m-clique of the collinearity graph in lexicographic order, grown
+    one vertex per level.  A clique carries the bitmask of its common
+    neighbours above its last vertex, grows only by those, and is kept only
+    while they can complete it.  Lines are sorted, so v < w below."""
+    later = [0] * len(config.points)
+    for line in config.lines:
+        for v, w in combinations(line, 2):
+            later[v] |= 1 << w
+    level = [((), (1 << len(later)) - 1)]
     while level and len(level[0][0]) < m:
         need = m - len(level[0][0]) - 1
         level = [(clique + (w,), grown) for clique, common in level
@@ -67,19 +79,15 @@ def _bits(mask: int):
 
 
 def free_complete_subgraphs(config: Configuration, m: int):
-    """All m-vertex freely contained complete subgraphs (and all m-cliques)."""
+    """All m-vertex freely contained complete subgraphs (and all m-cliques)
+    of a partial linear space whose lines all have one size."""
     if m < 0:
         raise IncidenceError(f"clique size must not be negative, got {m}")
-    adj = adjacency_indices(config)
-    cliques = _cliques_of_size(adj, m)
-    free_sets = []
-    all_cliques = []
-    for cl in cliques:
-        labs = tuple(config.points[i] for i in cl)
-        all_cliques.append(labs)
-        if is_freely_contained(config, labs):
-            free_sets.append(labs)
-    return FreeGraphReport(m, tuple(all_cliques), tuple(free_sets))
+    require_partial_linear(config)
+    cliques = _cliques_of_size(config, m)
+    labels = [tuple(config.points[i] for i in cl) for cl in cliques]
+    return FreeGraphReport(m, tuple(labels), tuple(
+        labs for cl, labs in zip(cliques, labels) if _is_free(config._joins, cl)))
 
 
 def free_count(config: Configuration, m: int) -> int:
@@ -137,55 +145,34 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
     """Re-present config as a perspective with center q between the free
     complete graphs g1, g2 (which must intersect exactly in q)."""
     g1, g2 = list(g1), list(g2)
-    if set(g1) & set(g2) != {q}:
+    if (set(g1) & set(g2) != {q} or len(g1) != len(g2)
+            or not (is_freely_contained(config, g1)
+                    and is_freely_contained(config, g2))):
         raise IncidenceError("not a perspective pair from q")
-    if len(g1) != len(g2):
-        raise IncidenceError("not a perspective pair from q")
-    if not (is_freely_contained(config, g1) and is_freely_contained(config, g2)):
-        raise IncidenceError("not a perspective pair from q")
+
+    def third(x, y, among):
+        z = third_point(config, x, y)
+        if z not in among:
+            raise IncidenceError("not a perspective pair from q")
+        return z
+
     n = len(g1) - 1
-    order = {lab: config.index_of(lab) for lab in config.points}
-    a_side = sorted((x for x in g1 if x != q), key=order.get)
-    g2_rest = set(x for x in g2 if x != q)
-    b_side = []
-    for x in a_side:
-        y = third_point(config, q, x)
-        if y is None or y not in g2_rest:
-            raise IncidenceError("not a perspective pair from q")
-        b_side.append(y)
-    if set(b_side) != g2_rest:
-        raise IncidenceError("not a perspective pair from q")
-    a_index = {x: i + 1 for i, x in enumerate(a_side)}
-    pair_of_c = {}
-    for x, y in combinations(a_side, 2):
-        e = third_point(config, x, y)
-        if e is None or e in g1 or e in g2:
-            raise IncidenceError("not a perspective pair from q")
-        u = (a_index[x], a_index[y])
-        if e in pair_of_c:
-            raise IncidenceError("not a perspective pair from q")
-        pair_of_c[e] = u
-    b_index = {x: i + 1 for i, x in enumerate(b_side)}
-    skew = {}
-    for x, y in combinations(b_side, 2):
-        f = third_point(config, x, y)
-        if f is None or f not in pair_of_c:
-            raise IncidenceError("not a perspective pair from q")
-        u = pair_of_c[f]
-        skew[u] = tuple(sorted((b_index[x], b_index[y])))
+    a_side = sorted((x for x in g1 if x != q), key=config.index_of)
+    b_side = [third(q, x, g2) for x in a_side]
+    off = set(config.points) - set(g1) - set(g2)
+    pair_of_c = {third(x, y, off): (i, j) for (i, x), (j, y)
+                 in combinations(enumerate(a_side, 1), 2)}
+    skew = {pair_of_c[third(x, y, pair_of_c)]: (i, j) for (i, x), (j, y)
+            in combinations(enumerate(b_side, 1), 2)}
     delta = pair_perm_from_dict(n, skew)
     cls = classify_pair_skew(delta)
     if cls.kind == "induced":
         delta = induced_pair_map(cls.phi)
     elif cls.kind == "complement":
         delta = kappa_composed(cls.phi)
-    axis_lines = []
-    c_points = set(pair_of_c)
-    for line in config.lines:
-        labs = config.line_labels(line)
-        if all(lab in c_points for lab in labs):
-            axis_lines.append(tuple(
-                c_point(*pair_of_c[lab]) for lab in labs))
+    axis_lines = [[c_point(*pair_of_c[lab]) for lab in labs]
+                  for labs in map(config.line_labels, config.lines)
+                  if pair_of_c.keys() >= set(labs)]
     axis = Configuration.build(
         [c_point(i, j) for i, j in pairs_of(n)], axis_lines)
     spec = SkewPerspectiveSpec(n, delta, axis)

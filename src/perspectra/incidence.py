@@ -254,15 +254,6 @@ def third_point(config: Configuration, x: PointLabel, y: PointLabel):
     return next(lab for lab in line if lab != x and lab != y)
 
 
-def adjacency_indices(config: Configuration) -> list[set[int]]:
-    adj = [set() for _ in config.points]
-    for line in config.lines:
-        for x, y in combinations(line, 2):
-            adj[x].add(y)
-            adj[y].add(x)
-    return adj
-
-
 def to_json_dict(config: Configuration) -> dict:
     return {
         "points": [str(lab) for lab in config.points],
@@ -305,7 +296,11 @@ def from_json_dict(data: dict) -> Configuration:
 
 
 def from_json(text: str) -> Configuration:
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise IncidenceError("JSON nested too deeply") from None
+    return from_json_dict(data)
 
 
 def to_dot(config: Configuration) -> str:

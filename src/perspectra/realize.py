@@ -144,6 +144,9 @@ def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
     on_line = {frozenset(line) for line in config.lines}
     withheld_set = frozenset(config.index_of(x) for x in withheld) if withheld else None
     for line in config.lines:
+        if len(line) != 3:
+            return False, (f"line {tuple(map(str, config.line_labels(line)))} "
+                           "does not have 3 points")
         if frozenset(line) == withheld_set:
             continue
         if not is_collinear(*(vec[i] for i in line)):

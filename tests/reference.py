@@ -1,5 +1,5 @@
 """Test-only reference helpers: brute-force permutation-group computations,
-the alternate-center condition, the Veblen labellings by exhaustive search,
+freeness from its definition, the alternate-center condition, the Veblen labellings by exhaustive search,
 the Grassmannian-axis classification by a sweep over every skew, the empty
 graph, the Veronesian two-letter clique candidates and the sorting
 canonical-form seed and refinement.  They back claims the tests check; the
@@ -115,6 +115,27 @@ def aut_group(axis_config):
         if preserved(kappa_composed(phi)):
             kappa_auts.append(phi)
     return induced_auts, kappa_auts
+
+
+def is_freely_contained_by_definition(config: Configuration, vertices) -> bool:
+    """Freeness from the definition: every edge lies on a line, the edge-to-
+    line map is injective, and lines of disjoint edges share no point."""
+    idxs = [config.index_of(v) for v in vertices]
+    joins = config._joins
+    edge_lines = {}
+    for x, y in combinations(sorted(idxs), 2):
+        line = joins.get((x, y))
+        if line is None:
+            return False
+        edge_lines[(x, y)] = line
+    if len(set(edge_lines.values())) != len(edge_lines):
+        return False
+    for e1, e2 in combinations(edge_lines, 2):
+        if set(e1) & set(e2):
+            continue
+        if set(edge_lines[e1]) & set(edge_lines[e2]):
+            return False
+    return True
 
 
 def movecenter_condition(spec: SkewPerspectiveSpec, i0: int):

@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from perspectra.incidence import (IncidenceError, a_point, b_point, c_point,
-                                  center, to_json_dict)
+from perspectra.incidence import (Configuration, IncidenceError, a_point,
+                                  b_point, c_point, center, free_point,
+                                  to_json_dict)
 from perspectra.analysis import (classify_pair_skew, free_complete_subgraphs,
                                  free_count, is_freely_contained,
                                  preserves_intersection, reperspective,
@@ -19,7 +22,10 @@ from perspectra.families import (desargues, fez, grassmannian, kantor,
 from perspectra.perms import (all_permutations, induced_pair_map,
                               kappa_composed, pairs_of, star)
 
-from reference import movecenter_condition, veronesian_two_letter_set
+from perspectra.realize import galois_field, pg2q_points
+
+from reference import (is_freely_contained_by_definition, movecenter_condition,
+                       veronesian_two_letter_set)
 
 
 def test_free_containment_in_grassmannian():
@@ -97,6 +103,84 @@ def test_repeated_vertex_is_not_free():
     x, y = c_point(1, 2), c_point(1, 3)
     assert is_freely_contained(g, [x, y])
     assert is_freely_contained(g, [x, x, y]) is False
+
+
+def _agrees_with_definition(config, vertex_lists):
+    for vertices in vertex_lists:
+        assert is_freely_contained(config, vertices) == \
+            is_freely_contained_by_definition(config, vertices), vertices
+
+
+def test_freeness_matches_definition_on_the_panel(census_report):
+    for _, config, _ in _free_panel(census_report):
+        for m in range(2, 6):
+            _agrees_with_definition(config,
+                                    free_complete_subgraphs(config, m).cliques)
+
+
+def _plane(q, half):
+    """PG(2, q) on free points: all its lines, or a seeded half of them."""
+    f = galois_field(q)
+    points = pg2q_points(q)
+    labels = [free_point(f"p{i}") for i in range(len(points))]
+
+    def on(line, point):
+        products = [f.mul(u, v) for u, v in zip(line, point)]
+        return f.add(f.add(products[0], products[1]), products[2]) == 0
+
+    lines = [[lab for lab, point in zip(labels, points) if on(line, point)]
+             for line in points]
+    if half:
+        lines = random.Random(q).sample(lines, len(lines) // 2)
+    return Configuration.build(labels, lines)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("half", [False, True])
+def test_freeness_matches_definition_on_planes(q, half):
+    # lines of q + 1 points: an edge's line has points off the edge to spare
+    config = _plane(q, half)
+    rng = random.Random(q + half)
+    picks = [rng.choices(config.points, k=rng.randint(0, 6)) for _ in range(300)]
+    _agrees_with_definition(config, picks + [
+        clique for m in (2, 3, 4)
+        for clique in free_complete_subgraphs(config, m).cliques])
+
+
+@st.composite
+def _partial_linear_spaces(draw):
+    k = draw(st.sampled_from([3, 4]))
+    size = draw(st.integers(k, 13))
+    lines = []
+    for line in draw(st.lists(st.sets(st.integers(0, size - 1), min_size=k,
+                                      max_size=k), min_size=1, max_size=40)):
+        if all(len(line & other) <= 1 for other in lines):
+            lines.append(line)
+    labels = [free_point(f"p{i}") for i in range(size)]
+    config = Configuration.build(labels, [[labels[i] for i in line]
+                                          for line in lines])
+    return config, draw(st.lists(st.sampled_from(labels), max_size=6))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_partial_linear_spaces())
+def test_freeness_matches_definition_on_partial_linear_spaces(drawn):
+    config, vertices = drawn
+    _agrees_with_definition(config, [vertices] + [
+        clique for m in (2, 3, 4)
+        for clique in free_complete_subgraphs(config, m).cliques])
+
+
+def test_freeness_rejects_non_partial_linear_input():
+    d = desargues()
+    x, y, _ = d.line_labels(d.lines[0])
+    off = next(p for p in d.points if d.index_of(p) not in d.lines[0])
+    bad = Configuration.build(
+        d.points, [d.line_labels(line) for line in d.lines] + [(x, y, off)])
+    with pytest.raises(IncidenceError, match="not partially linear"):
+        is_freely_contained(bad, d.points[:2])
+    with pytest.raises(IncidenceError, match="not partially linear"):
+        free_complete_subgraphs(bad, 3)
 
 
 def test_free_subgraphs_reject_negative_size():

@@ -1,7 +1,10 @@
 """Command line behavior: subcommands, output files, exit codes."""
 
+import argparse
 import ast
 import collections
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,17 +12,19 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import perspectra
 from perspectra import __version__
 from perspectra.census import SCHEMA_VERSION
 from perspectra.analysis import reperspective
-from perspectra.cli import run, spec_from_config
-from perspectra.incidence import (Configuration, a_point, b_point, center,
-                                  from_json, to_json, to_json_dict, verify)
-from perspectra.families import (SkewPerspectiveSpec, desargues, kappa_spec,
-                                 perm_spec, skew_perspective, veblen_catalog,
-                                 zeta)
+from perspectra.cli import _build_parser, run, spec_from_config
+from perspectra.incidence import (Configuration, ConfigurationSignature,
+                                  a_point, b_point, center, from_json, to_json,
+                                  to_json_dict, verify)
+from perspectra.families import (SkewPerspectiveSpec, desargues, grassmannian,
+                                 kappa_spec, perm_spec, skew_perspective,
+                                 veblen_catalog, zeta)
 
 
 def _construct(tmp_path, name, *argv):
@@ -200,6 +205,20 @@ def test_realize_rejects_mismatched_input(tmp_path, capsys):
     assert run(["realize", str(path), "--case", "c4",
                 "--params", "beta2=2,x=2,y=2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[0, 1], [0, 1, 2, 3]], ids=["two", "four"])
+def test_realize_rejects_lines_not_of_three_points(tmp_path, capsys, extra):
+    # a line of 2 or 4 points once reached the 3-argument collinearity test
+    # and escaped as a TypeError traceback
+    data = to_json_dict(skew_perspective(perm_spec(4, "(1,2,3,4)")))
+    data["lines"].append(extra)
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(data))
+    assert run(["realize", str(path), "--case", "c4",
+                "--params", "beta2=2,x=2,y=2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: realization not faithful on input: line ")
 
 
 def test_realize_rejects_unknown_parameters(tmp_path, capsys):
@@ -431,6 +450,33 @@ def test_src_locals_are_read():
     assert dead == []
 
 
+def test_src_definitions_are_reached():
+    # every top-level function or class of a src/ module is imported by the
+    # package, or loaded by name outside its own body: in its module, or in a
+    # module that imports it from there.  Unlike a match on bare names, a
+    # local variable or an attribute of the same name elsewhere does not count.
+    src = Path(perspectra.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    reached = set()
+    for module, tree in trees.items():
+        source = {alias.asname or alias.name: node.module
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names}
+        if module == "__init__":
+            reached |= {(origin, name) for name, origin in source.items()}
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            reached |= {(source.get(sub.id, module), sub.id)
+                        for sub in ast.walk(top)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Load) and sub.id != own}
+    defined = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert sorted(defined - reached) == []
+
+
 def test_src_imports_are_at_module_level():
     # an import inside a function or class body can hide a cycle in the
     # module graph, which a top-level import would fail on at once
@@ -471,6 +517,14 @@ def test_malformed_json_is_domain_error(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     assert run(["verify", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deeply_nested_json_is_domain_error(tmp_path, capsys):
+    # the decoder's recursion limit once escaped as a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "error: JSON nested too deeply\n"
 
 
 def test_search_pg_rejects_q_above_the_bound(tmp_path, capsys, monkeypatch):
@@ -527,7 +581,7 @@ def test_non_regular_input_is_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"automorphisms": 12}
 
 
-@pytest.mark.parametrize("command", ["search-pg", "aut"])
+@pytest.mark.parametrize("command", ["search-pg", "aut", "analyze"])
 @pytest.mark.parametrize("fault", ["duplicate line", "not partially linear"])
 def test_non_partial_linear_input_is_rejected(tmp_path, capsys, fault, command):
     data = to_json_dict(_desargues_less_one_line())
@@ -537,7 +591,8 @@ def test_non_partial_linear_input_is_rejected(tmp_path, capsys, fault, command):
                          else first[:2] + [off])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    argv = [command, str(path)] + (["--q", "5"] if command == "search-pg" else [])
+    argv = [command, str(path)] + {"search-pg": ["--q", "5"],
+                                   "analyze": ["--free-k", "3"]}.get(command, [])
     assert run(argv) == 1
     assert fault in capsys.readouterr().err
 
@@ -597,3 +652,145 @@ def _golden_run(paths, case, mode, capsys):
 def test_cli_output_is_golden(golden_inputs, capsys, case, mode):
     golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
     assert _golden_run(golden_inputs, case, mode, capsys) == golden[case][mode]
+
+
+# command-line fuzz: every subcommand and option, with valid and broken
+# values, over a small pool of valid and mutated JSON files
+def _fuzz_files(folder):
+    valid = {"desargues": desargues(), "g4": grassmannian(4),
+             "perm": skew_perspective(perm_spec(4, "(1,2)")),
+             "c4": skew_perspective(perm_spec(4, "(1,2,3,4)")),
+             "kappa": skew_perspective(kappa_spec("(1,2,3)")),
+             "w2": veblen_catalog()["W2"]}
+    texts = {name: to_json(config) for name, config in valid.items()}
+    data = to_json_dict(desargues())
+    first = data["lines"][0]
+    off = next(i for i in range(len(data["points"])) if i not in first)
+
+    def mutated(points=data["points"], lines=data["lines"], extra=()):
+        return json.dumps({"points": points, "lines": lines + list(extra)})
+
+    texts.update({
+        "less-a-line": mutated(lines=data["lines"][:-1]),
+        "not-partially-linear": mutated(extra=[first[:2] + [off]]),
+        "duplicate-line": mutated(extra=[first[::-1]]),
+        "mixed-sizes": mutated(extra=[[first[0], off]]),
+        "four-point-line": mutated(extra=[first + [off]]),
+        "index-out-of-range": mutated(extra=[[0, 1, 99]]),
+        "string-index": mutated(extra=[[0, 1, "2"]]),
+        "float-index": mutated(extra=[[0, 1, 2.0]]),
+        "repeated-point": mutated(extra=[[0, 0, 1]]),
+        "duplicate-label": mutated(points=[data["points"][1]] + data["points"][1:]),
+        "bad-label": mutated(points=["q!"] + data["points"][1:]),
+        "free-labels": mutated(points=[f"x{i}" for i in range(len(data["points"]))]),
+        "no-points": json.dumps({"lines": data["lines"]}),
+        "top-level-list": json.dumps([data["points"], data["lines"]]),
+        "truncated": texts["desargues"][:len(texts["desargues"]) // 2],
+        "empty": "",
+        "deep": "[" * 100_000 + "]" * 100_000,
+    })
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(folder / f"{name}.json")
+        Path(paths[name]).write_text(text)
+    paths["not-utf8"] = str(folder / "not-utf8.json")
+    Path(paths["not-utf8"]).write_bytes(b"\xff\xfe{")
+    paths["missing"] = str(folder / "missing.json")
+    paths["folder"] = str(folder)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    return folder, _fuzz_files(folder)
+
+
+def _fuzz_values(files, out):
+    """Valid and broken values for each option of the parser, by its dest."""
+    some = st.sampled_from
+    n = st.integers(-1, 6).map(str) | some(["x", "", "4.0"])
+    path = some(list(files.values()))
+    return {
+        "input": path, "a": path, "b": path, "n": n, "free_k": n,
+        "output": some([str(out), str(out.parent), str(out.parent / "no" / "x")]),
+        "family": some(["gras", "skew", "mveb", "veronese", "quasigras", "zeta",
+                        "perm", "kappa", "all", "fano"]),
+        "skew": some(["id", "(1,2)", "(1,2,3,4)", "(1,2)(3,4)", "(1,5)", "(1,1)",
+                      "((", "", "1,2"]),
+        "axis": some(["G", "G*", "W2", "V4", "V5", "V6", "X9", ""]) | path,
+        "graph": some(["complete", "empty", "path", "1-2,2-3", "1-2-3", "a-b",
+                       "", "1-9", "0-1", "1-1", ","]),
+        "case": some(["c4", "c3f", "c5"]),
+        "params": some(["beta2=2,x=2,y=2", "beta1=5,beta2=2,y=2",
+                        "beta2=2,x=2,y=1/0", "beta2=2,beta2=3", "bogus=1",
+                        "beta2=a", "", "=,"]),
+        "q": st.integers(-1, 13).map(str) | some(["x", ""]),
+        "budget": some(["1000", "100", "1e3", "0", "-5", "1.5", "nan", "inf",
+                        "abc"]),
+        "format": some(["json", "dot", "svg"]),
+    }
+
+
+def _parser_commands():
+    """Each subcommand of the parser and its arguments, --help aside."""
+    parser = _build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: [action for action in command._actions
+                   if not isinstance(action, argparse._HelpAction)]
+            for name, command in sub.choices.items()}
+
+
+@st.composite
+def _invocations(draw, commands, values):
+    command = draw(st.sampled_from(sorted(commands)))
+    actions = commands[command]
+    argv = [command] + [draw(values[action.dest]) for action in actions
+                        if not action.option_strings]
+    # a --budget is always given, to keep every search small
+    options = [action for action in actions if action.option_strings]
+    always = [action for action in options
+              if action.required or action.dest == "budget"]
+    chosen = always + draw(st.lists(st.sampled_from(
+        [action for action in options if action not in always]),
+        unique=True, max_size=4))
+    for action in chosen:
+        flag = draw(st.sampled_from(action.option_strings))
+        argv += [flag] if action.nargs == 0 else [flag, draw(values[action.dest])]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_fuzz(fuzz_files):
+    folder, files = fuzz_files
+    out = folder / "out.json"
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_invocations(_parser_commands(), _fuzz_values(files, out)))
+    def check(argv):
+        if out.exists():
+            out.unlink()
+        code, stdout, stderr = _run_captured(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in stdout + stderr, argv
+        if code == 1:
+            assert ("error: " in stderr
+                    or argv[0] == "verify" and "violation" in stdout), argv
+        if code == 0 and argv[0] == "construct":
+            text = out.read_text() if str(out) in argv else stdout
+            assert isinstance(verify(from_json(text)), ConfigurationSignature)
+
+    check()

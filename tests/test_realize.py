@@ -51,6 +51,16 @@ def test_verify_realization_detects_defects():
     assert not ok and "missing" in reason
 
 
+def test_faithfulness_needs_lines_of_three_points():
+    d = desargues()
+    config = Configuration.build(
+        d.points, [d.line_labels(line) for line in d.lines] + [d.points[:4]])
+    coords = {lab: (1, i % 5, i // 5) for i, lab in enumerate(config.points)}
+    want = (False, "line ('p', 'a1', 'a2', 'a3') does not have 3 points")
+    assert verify_realization(config, coords) == want
+    assert verify_pg_embedding(config, coords, 5) == want
+
+
 def test_c4_realization_is_faithful(c4_realization):
     real = c4_realization
     config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
