@@ -23,7 +23,7 @@ from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
 from perspectra.incidence import a_point, b_point, c_point, center
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
-                              kappa_composed, pairs_of, partitions)
+                              kappa_composed, orbits, pairs_of, partitions)
 
 from reference import grasaxis_by_sweep, veblen_labelings_by_subsets
 
@@ -385,3 +385,21 @@ def test_veblen_labelings_and_orbits_are_built_once():
     census_n4("perm")
     assert enumerate_veblen().labelings is all_veblen_labelings()
     assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+
+
+def test_classify_items_come_in_the_order_of_their_smallest_members():
+    # _classify takes the first item of a class as its representative: every
+    # caller's items list their members in increasing order, and the items'
+    # first members increase.  Member keys follow the item index, as
+    # all_permutations is in lexicographic image order.
+    def ascending(orbs):
+        assert all(list(orbit) == sorted(orbit) for orbit in orbs)
+        firsts = [orbit[0] for orbit in orbs]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+
+    for n in range(3, 9):
+        images = [sigma.image for sigma in all_permutations(n)]
+        assert images == sorted(images)
+        ascending(orbits(len(images), census._conjugation(n)[2]))
+    for orbs in census._n4_orbits().values():
+        ascending(orbs)

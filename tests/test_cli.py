@@ -794,3 +794,14 @@ def test_cli_fuzz(fuzz_files):
             assert isinstance(verify(from_json(text)), ConfigurationSignature)
 
     check()
+
+
+def test_cli_rejects_a_catalog_axis_off_n4_and_an_unlabelled_skew_class(
+        tmp_path, capsys):
+    argv = ["construct", "--family", "skew", "--n", "5", "--axis", "W2"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: axis W2 is only defined for n=4\n"
+    path = _construct(tmp_path, "g5.json", "--family", "gras", "--n", "5")
+    assert run(["analyze", str(path), "--skew-class"]) == 1
+    assert capsys.readouterr().err == (
+        "error: input is not labeled as a skew perspective\n")

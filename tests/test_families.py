@@ -177,3 +177,23 @@ def test_named_triangle_perspectives_are_distinct():
 def test_kappa_spec_builds():
     config = skew_perspective(kappa_spec("id"))
     assert verify(config).as_tuple() == (15, 4, 20, 3)
+
+
+def test_constructors_reject_out_of_range_parameters():
+    with pytest.raises(IncidenceError, match="no lines"):
+        grassmannian(2)
+    with pytest.raises(IncidenceError, match="degree must be positive"):
+        veronesian(0)
+    with pytest.raises(IncidenceError, match="defined for n >= 4"):
+        quasi_grassmannian_perm(3)
+    with pytest.raises(IncidenceError, match="skew degree mismatch"):
+        SkewPerspectiveSpec(5, kappa(), grassmannian(5))
+    with pytest.raises(IncidenceError, match="axis mismatch"):
+        multiveblen(3, set(), grassmannian(4))
+
+
+def test_a_general_skew_is_described_by_its_pairs():
+    spec = SkewPerspectiveSpec(4, zeta(), grassmannian(4))
+    assert spec.describe_skew() == (
+        "general:{1,2}->{3,4};{1,3}->{1,3};{1,4}->{1,4};"
+        "{2,3}->{2,3};{2,4}->{2,4};{3,4}->{1,2}")

@@ -204,3 +204,19 @@ def test_verify_invariant_under_line_order(n, rng):
     rng.shuffle(lines)
     shuffled = Configuration.build(g.points, lines)
     assert verify(shuffled) == verify(g)
+
+
+def test_verify_flags_duplicate_lines_and_unknown_points():
+    # a Configuration built without Configuration.build is checked as given
+    pts = tuple(free_point(s) for s in "wxyz")
+    twice = verify(Configuration(pts, ((0, 1, 2), (0, 1, 2))))
+    assert twice == ViolationReport("duplicate line", (pts[:3],))
+    unknown = verify(Configuration(pts, ((0, 1, 7),)))
+    assert unknown == ViolationReport("line uses unknown point", ((0, 1, 7),))
+
+
+def test_unknown_labels_are_rejected():
+    with pytest.raises(IncidenceError, match="no such point q"):
+        desargues().index_of(free_point("q"))
+    with pytest.raises(ValueError, match="unknown label kind 'q'"):
+        PointLabel("q")

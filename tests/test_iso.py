@@ -300,3 +300,15 @@ def test_canonical_lines_are_the_lines_at_their_positions():
 @given(partial_linear_spaces())
 def test_canonical_lines_are_the_lines_at_their_positions_on_random_spaces(space):
     _assert_lines_follow_positions(*space)
+
+
+def test_is_isomorphism_rejects_partial_and_foreign_maps():
+    config = desargues()
+    identity_map = {lab: lab for lab in config.points}
+    assert is_isomorphism(config, config, identity_map)
+    missing = dict(identity_map)
+    del missing[config.points[0]]
+    assert not is_isomorphism(config, config, missing)
+    foreign = dict(identity_map)
+    foreign[config.points[0]] = free_point("q")
+    assert not is_isomorphism(config, config, foreign)

@@ -177,3 +177,10 @@ def test_orbits_of_conjugation_are_the_cycle_types():
     assert [len(orbit) for orbit in found] == [1, 6, 8, 3, 6]
     assert all(orbit == sorted(orbit) for orbit in found)
     assert [orbit[0] for orbit in found] == sorted(orbit[0] for orbit in found)
+
+
+def test_malformed_permutations_are_rejected():
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((1, 1, 3))
+    with pytest.raises(ValueError, match="correlation undefined"):
+        kappa_composed(identity(3))

@@ -409,3 +409,10 @@ def test_embed_search_rejects_lines_that_are_not_triples():
     shared = Configuration.build(names, [names[:3], names[:2] + names[3:4]])
     with pytest.raises(IncidenceError, match="two lines"):
         embed_search(shared, 7)
+
+
+def test_embed_search_needs_a_frame():
+    pts = [free_point(s) for s in "wxyz"]
+    config = Configuration.build(pts, [tuple(pts[:3])])
+    with pytest.raises(IncidenceError, match="no frame of four points"):
+        embed_search(config, 5)
