@@ -17,11 +17,12 @@ from .iso import are_isomorphic
 
 
 def _is_free(joins: dict, clique) -> bool:
-    """A clique of point indices is free when every edge spans a line and the
-    points of those lines off their edges are pairwise distinct and off the
-    clique.  In a partial linear space that is the definition: two edges on
-    one line put a clique point off one of them, and the lines of two
-    disjoint edges can only meet off both.  A repeated vertex spans no line."""
+    """A clique of point indices, in increasing order, is free when every
+    edge spans a line and the points of those lines off their edges are
+    pairwise distinct and off the clique.  In a partial linear space that is
+    the definition: two edges on one line put a clique point off one of
+    them, and the lines of two disjoint edges can only meet off both.  A
+    repeated vertex spans no line."""
     seen = 0
     for v in clique:
         seen |= 1 << v
@@ -43,7 +44,7 @@ def is_freely_contained(config: Configuration, vertices) -> bool:
     disjoint edges share no point.  Raises IncidenceError unless config is
     a partial linear space whose lines all have one size."""
     require_partial_linear(config)
-    return _is_free(config._joins, [config.index_of(v) for v in vertices])
+    return _is_free(config._joins, sorted(map(config.index_of, vertices)))
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,10 @@ def _cliques_of_size(config: Configuration, m: int) -> list[tuple[int, ...]]:
     """Every m-clique of the collinearity graph in lexicographic order, grown
     one vertex per level.  A clique carries the bitmask of its common
     neighbours above its last vertex, grows only by those, and is kept only
-    while they can complete it.  Lines are sorted, so v < w below."""
+    while they can complete it.  The join keys are ascending, v < w."""
     later = [0] * len(config.points)
-    for line in config.lines:
-        for v, w in combinations(line, 2):
-            later[v] |= 1 << w
+    for v, w in config._joins:
+        later[v] |= 1 << w
     level = [((), (1 << len(later)) - 1)]
     while level and len(level[0][0]) < m:
         need = m - len(level[0][0]) - 1

@@ -12,7 +12,7 @@ from functools import lru_cache
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
 from .perms import (LIFTS, Permutation, all_permutations, induced_pair_map,
-                    kappa, orbits, partitions)
+                    orbits, partitions)
 from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
                        grassmannian, kantor, labeling_action, multiveblen,
                        path_graph, quasi_grassmannian, skew_perspective)
@@ -78,28 +78,23 @@ def _labels(n: int) -> dict:
 def _classify(family: str, n: int, items) -> list[CensusEntry]:
     """One entry per isomorphism class of the (members, spec) items, found by
     the canonical cert of each spec's configuration.  The members of an item
-    are sortable (skew image, axis key) pairs of isomorphic instances, and
-    its spec builds the smallest of them; each class is represented by its
-    smallest member, and the classes come in the order of those members."""
+    are sortable (skew image, axis key) pairs of isomorphic instances, in
+    increasing order, and its spec builds the first of them.  The items must
+    come in increasing order of their first members: then the first item of
+    a class holds its smallest member and represents it, and the classes
+    come in the order of those members."""
     labels = _labels(n)
     classes = {}
     for members, spec in items:
-        first = min(members)
         config = skew_perspective(spec)
-        cert = canonical_form(config).cert
-        cls = classes.get(cert)
-        if cls is None:
-            classes[cert] = cls = [first, spec, config, []]
-        elif first < cls[0]:
-            cls[:3] = first, spec, config
-        cls[3] += members
+        cls = classes.setdefault(canonical_form(config).cert, (spec, config, []))
+        cls[2].extend(members)
     names = {image: str(Permutation(image)) for image in
-             {image for cls in classes.values() for image, _ in cls[3]}}
+             {image for _, _, members in classes.values() for image, _ in members}}
     return [CensusEntry(family, spec, cert, _entry_invariants(spec, config),
                         labels.get(cert, "new type"), len(members),
                         tuple((names[image], key) for image, key in sorted(members)))
-            for cert, (_, spec, config, members)
-            in sorted(classes.items(), key=lambda kv: kv[1][0])]
+            for cert, (spec, config, members) in classes.items()]
 
 
 def _conjugation(n: int):
@@ -145,10 +140,8 @@ def _n4_orbits() -> dict:
     (sigma^-1, delta L).  As kappa commutes with induced pair maps, the two
     commute, and for kappa delta L is kappa of the induced image."""
     perms, taus, conj = _conjugation(4)
-    labelings = all_veblen_labelings()
-    size = len(labelings)
-    *induced, complement = labeling_action(
-        [*map(induced_pair_map, perms), kappa()], labelings)
+    size = len(all_veblen_labelings())
+    *induced, complement = labeling_action()
     tables = [[row[s] * size + x for s in range(len(perms))
                for x in induced[perms.index(tau)]] for row, tau in zip(conj, taus)]
     inverse = [perms.index(sigma.inverse()) * size for sigma in perms]
@@ -228,7 +221,10 @@ def full_census() -> CensusReport:
     return CensusReport(tuple(perm) + tuple(kap), tuple(findings))
 
 
-_identify_index = None
+@lru_cache(maxsize=1)
+def _identify_index() -> dict:
+    """The full census entries by canonical hash; built once per process."""
+    return {e.canonical_hash: e for e in full_census().entries}
 
 
 def identify(config: Configuration):
@@ -236,8 +232,4 @@ def identify(config: Configuration):
     full n=4 census."""
     require_signature(config, (15, 4, 20, 3),
                       "not a 15-point binomial configuration")
-    global _identify_index
-    if _identify_index is None:
-        report = full_census()
-        _identify_index = {e.canonical_hash: e for e in report.entries}
-    return _identify_index.get(canonical_form(config).cert)
+    return _identify_index().get(canonical_form(config).cert)

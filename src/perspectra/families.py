@@ -12,7 +12,7 @@ from math import comb
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center, free_point, require_signature)
-from .perms import (LIFTS, PairPermutation, Permutation, all_permutations,
+from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa, kappa_composed, orbits,
                     pair_perm_from_dict, pairs_of, parse_cycles, star, top)
 
@@ -173,26 +173,28 @@ class VeblenEnumeration:
     catalog_exhaustive: bool                     # do the six classes cover all?
 
 
-def labeling_action(maps, labelings) -> list[tuple[int, ...]]:
-    """One row per pair map m: row[i] is the index in labelings of the image
-    of labelings[i] under m, found from the labelings' pair-line sets (no
-    Configuration is built).  Every image must be one of the labelings."""
-    line_sets = [_line_pair_sets(v) for v in labelings]
+@lru_cache(maxsize=1)
+def labeling_action() -> tuple[tuple[int, ...], ...]:
+    """The action of the pair maps on all_veblen_labelings(): one row for
+    each of the 24 induced maps, in all_permutations(4) order, then one for
+    kappa.  row[i] is the index of the image of labelings[i], found from the
+    labelings' pair-line sets (no Configuration is built).  Built once per
+    process."""
+    line_sets = [_line_pair_sets(v) for v in all_veblen_labelings()]
     key_of = {lines: i for i, lines in enumerate(line_sets)}
+    maps = [*map(induced_pair_map, all_permutations(4)), kappa()]
     images = (m.as_dict().__getitem__ for m in maps)
-    return [tuple(key_of[frozenset(frozenset(map(image, line)) for line in lines)]
-                  for lines in line_sets) for image in images]
+    return tuple(tuple(key_of[frozenset(frozenset(map(image, line)) for line in lines)]
+                       for lines in line_sets) for image in images)
 
 
 def enumerate_veblen() -> VeblenEnumeration:
     labelings = all_veblen_labelings()
-    # kappa commutes with every induced map and kappa^2 = id, so these 48
-    # maps form a group
-    maps = [lift(phi) for lift in LIFTS.values() for phi in all_permutations(4)]
-    orbs = tuple(map(tuple, orbits(len(labelings), labeling_action(maps, labelings))))
+    # kappa commutes with every induced map and kappa^2 = id, so the action's
+    # 25 rows generate the action of the 48 maps u -> phi(u), kappa(phi(u))
+    orbs = tuple(map(tuple, orbits(len(labelings), labeling_action())))
     orbit_of = {x: k for k, orbit in enumerate(orbs) for x in orbit}
-    key_of = {_line_pair_sets(v): i for i, v in enumerate(labelings)}
-    catalog_orbit = {name: orbit_of[key_of[_line_pair_sets(axis)]]
+    catalog_orbit = {name: orbit_of[labelings.index(axis)]
                      for name, axis in veblen_catalog().items()}
     return VeblenEnumeration(labelings, orbs, catalog_orbit,
                              set(catalog_orbit.values()) == set(range(len(orbs))))

@@ -141,11 +141,12 @@ class Configuration:
 
     @cached_property
     def _joins(self) -> dict:
+        """The line through each pair of points, keyed by ascending index
+        pairs (lines are sorted); the first line through a pair wins."""
         joins = {}
         for line in self.lines:
-            for x, y in combinations(line, 2):
-                joins[(x, y)] = line
-                joins[(y, x)] = line
+            for pair in combinations(line, 2):
+                joins.setdefault(pair, line)
         return joins
 
     @cached_property
@@ -200,14 +201,13 @@ def _check_axioms(config: Configuration):
         for idx in line:
             if not (0 <= idx < nu):
                 return ViolationReport("line uses unknown point", (line,))
-    pair_seen = {}
+    joins = config._joins
     for line in config.lines:
-        for x, y in combinations(line, 2):
-            if (x, y) in pair_seen and pair_seen[(x, y)] != line:
+        for pair in combinations(line, 2):
+            if joins[pair] != line:
                 return ViolationReport(
                     "not partially linear",
-                    (config.line_labels(pair_seen[(x, y)]), config.line_labels(line)))
-            pair_seen[(x, y)] = line
+                    (config.line_labels(joins[pair]), config.line_labels(line)))
     ranks = set(config.ranks())
     if len(ranks) > 1:
         return ViolationReport("not regular", tuple(sorted(ranks)))
@@ -240,7 +240,7 @@ def join(config: Configuration, x: PointLabel, y: PointLabel):
     yi = config.index_of(y)
     if xi == yi:
         return (x,)
-    line = config._joins.get((xi, yi))
+    line = config._joins.get((xi, yi) if xi < yi else (yi, xi))
     if line is None:
         return None
     return config.line_labels(line)

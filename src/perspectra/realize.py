@@ -123,7 +123,8 @@ def line_through(u, v):
 def verify_realization(config: Configuration, coords: dict,
                        withheld=None):
     """Faithfulness check: all points distinct, every line (except the
-    withheld one) collinear, and no other triple collinear.
+    withheld one) collinear, and no other triple collinear.  A withheld
+    tuple must name the distinct points of a line.
 
     Returns (ok, reason)."""
     for lab in config.points:
@@ -142,7 +143,11 @@ def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
         if vec[i] == vec[j]:
             return False, f"points {labs[i]} and {labs[j]} coincide"
     on_line = {frozenset(line) for line in config.lines}
-    withheld_set = frozenset(config.index_of(x) for x in withheld) if withheld else None
+    withheld_set = None
+    if withheld is not None:
+        withheld_set = frozenset(map(config.index_of, withheld))
+        if len(withheld_set) != len(withheld) or withheld_set not in on_line:
+            return False, f"withheld {tuple(map(str, withheld))} is not a line"
     for line in config.lines:
         if len(line) != 3:
             return False, (f"line {tuple(map(str, config.line_labels(line)))} "
@@ -152,8 +157,7 @@ def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
         if not is_collinear(*(vec[i] for i in line)):
             return False, f"line {tuple(map(str, config.line_labels(line)))} not collinear"
     for tri in combinations(range(len(labs)), 3):
-        key = frozenset(tri)
-        if key in on_line or key == withheld_set:
+        if frozenset(tri) in on_line:
             continue
         if is_collinear(*(vec[i] for i in tri)):
             return False, "spurious collinearity " + str(
@@ -278,10 +282,7 @@ def closure_check(config: Configuration, coords: dict, withheld):
     ok, reason = verify_realization(config, coords, withheld=withheld)
     if not ok:
         raise IncidenceError(f"hypotheses violated: {reason}")
-    pts = [normalize(coords[x]) for x in withheld]
-    if len(pts) != 3:
-        raise IncidenceError("withheld line must have three points")
-    return collinear(*pts)
+    return collinear(*(normalize(coords[x]) for x in withheld))
 
 
 def fez_closure_witness():

@@ -17,9 +17,9 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
                                  all_veblen_labelings, apply_pair_map_to_axis,
                                  desargues, enumerate_veblen, fez,
-                                 grassmannian, kantor, multiveblen, path_graph,
-                                 perm_spec, quasi_grassmannian,
-                                 skew_perspective)
+                                 grassmannian, kantor, labeling_action,
+                                 multiveblen, path_graph, perm_spec,
+                                 quasi_grassmannian, skew_perspective)
 from perspectra.incidence import a_point, b_point, c_point, center
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
@@ -403,3 +403,14 @@ def test_classify_items_come_in_the_order_of_their_smallest_members():
         ascending(orbits(len(images), census._conjugation(n)[2]))
     for orbs in census._n4_orbits().values():
         ascending(orbs)
+
+
+def test_labeling_action_is_built_once():
+    # enumerate_veblen and the orbit tables of both censuses share one
+    # action of the pair maps on the labellings
+    labeling_action.cache_clear()
+    census._n4_orbits.cache_clear()
+    enumerate_veblen()
+    census_n4("perm")
+    census_n4("kappa")
+    assert labeling_action.cache_info().misses == 1

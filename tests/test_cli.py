@@ -450,6 +450,34 @@ def test_src_locals_are_read():
     assert dead == []
 
 
+
+def test_src_tables_are_bounded_caches():
+    # a process-wide table is an lru_cache with an integer maxsize, not a
+    # module global rebound through a global statement
+    def cache_name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def bounded(call):
+        size = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+        return (len(size) == 1 and isinstance(size[0], ast.Constant)
+                and type(size[0].value) is int)
+
+    src = Path(perspectra.__file__).parent
+    bad = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Global):
+                bad.append(f"{where}: global {', '.join(node.names)}")
+            elif isinstance(node, ast.Call) and cache_name(node.func) == "lru_cache":
+                if not bounded(node):
+                    bad.append(f"{where}: lru_cache without an integer maxsize")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += [f"{where}: bare {cache_name(dec)} on {node.name}"
+                        for dec in node.decorator_list
+                        if cache_name(dec) in ("lru_cache", "cache")]
+    assert bad == []
+
 def test_src_definitions_are_reached():
     # every top-level function or class of a src/ module is imported by the
     # package, or loaded by name outside its own body: in its module, or in a

@@ -10,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 from perspectra.incidence import (Configuration, IncidenceError, a_point,
-                                  b_point, center, free_point)
+                                  b_point, center, free_point, parse_label)
 from perspectra.families import (desargues, fez, kantor, perm_spec,
                                  skew_perspective)
 from perspectra.realize import (closure_check, collinear, embed_search,
@@ -416,3 +416,18 @@ def test_embed_search_needs_a_frame():
     config = Configuration.build(pts, [tuple(pts[:3])])
     with pytest.raises(IncidenceError, match="no frame of four points"):
         embed_search(config, 5)
+
+
+@pytest.mark.parametrize("withheld", [
+    ("a1", "b2", "c{3,4}"), ("p", "a1"), ("p", "a1", "b1", "a2"),
+    ("p", "a1", "b1", "a1"), ("p", "a1", "a1"), ()])
+def test_withheld_must_be_a_line(c4_realization, withheld):
+    # withholding a triple that is no line would skip its spurious-
+    # collinearity test and report it as a line that does not close
+    config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
+    labels = tuple(map(parse_label, withheld))
+    reason = f"withheld {withheld} is not a line"
+    assert verify_realization(config, c4_realization.coords, labels) == (False, reason)
+    with pytest.raises(IncidenceError) as exc:
+        closure_check(config, c4_realization.coords, labels)
+    assert str(exc.value) == f"hypotheses violated: {reason}"
