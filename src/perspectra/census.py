@@ -8,11 +8,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
-from .perms import (LIFTS, Permutation, all_permutations, induced_pair_map,
-                    orbits, partitions)
+from .perms import (Permutation, induced_pair_map, kappa_composed, orbits,
+                    partitions)
 from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
                        grassmannian, kantor, labeling_action, multiveblen,
                        path_graph, quasi_grassmannian, skew_perspective)
@@ -97,77 +98,60 @@ def _classify(family: str, n: int, items) -> list[CensusEntry]:
             for cert, (spec, config, members) in classes.items()]
 
 
-def _conjugation(n: int):
-    """all_permutations(n), the generators (1,2) and (1,...,n) of S_n, and
-    for each generator tau the table of the indices of tau sigma tau^-1."""
-    perms = all_permutations(n)
-    index = {sigma.image: s for s, sigma in enumerate(perms)}
-    taus = [Permutation((2, 1) + tuple(range(3, n + 1))),
-            Permutation(tuple(range(2, n + 1)) + (1,))]
-    tables = []
-    for tau in taus:
-        t_inv = [x - 1 for x in tau.inverse().image]
-        tables.append([index[tuple(tau.image[sigma.image[i] - 1] for i in t_inv)]
-                       for sigma in perms])
-    return perms, taus, tables
+def _census(family: str, n: int, lift, labelings, keys, actions):
+    """One entry per isomorphism class of the instances (sigma, L), sigma in
+    S_n in image order and L in labelings: the items s * len(labelings) + l,
+    with members (sigma's image, keys[l]).  Relabelling by tau = (1,2) or
+    (1,...,n) gives (tau sigma tau^-1, tau L); swapping the sides (a_i <->
+    b_i, c_u -> c_delta(u), delta = lift(sigma) = epsilon sigma) gives
+    (sigma^-1, delta L), and relabelling that by sigma^-1 gives (sigma^-1,
+    epsilon L), as epsilon, 1 or kappa, commutes with induced maps.  actions
+    holds the three moves' tables on the labelings.  Only the smallest item
+    of each orbit is built and canonicalised, and it represents its class."""
+    images = list(permutations(range(1, n + 1)))
+    index = {image: s for s, image in enumerate(images)}
+    size = len(labelings)
+
+    def conjugation(tau):
+        back = [tau.index(i) for i in range(1, n + 1)]
+        return lambda image: tuple(tau[image[j] - 1] for j in back)
+
+    def inverse(image):
+        return tuple(image.index(i) + 1 for i in range(1, n + 1))
+
+    moves = (conjugation((2, 1) + tuple(range(3, n + 1))),
+             conjugation(tuple(range(2, n + 1)) + (1,)), inverse)
+    tables = [[s + x for s in (index[move(image)] * size for image in images)
+               for x in action] for move, action in zip(moves, actions)]
+    return _classify(family, n, (
+        ([(images[x // size], keys[x % size]) for x in orbit],
+         SkewPerspectiveSpec(n, lift(Permutation(images[orbit[0] // size])),
+                             labelings[orbit[0] % size]))
+        for orbit in orbits(len(images) * size, tables)))
 
 
 def classify_grasaxis(n: int):
-    """One class per cycle type over the Grassmannian axis.  Relabelling by
-    tau maps the instance of sigma onto that of tau sigma tau^-1, as the
-    axis is invariant, so only the smallest skew of each conjugacy class is
-    built and canonicalised; p(n) distinct certs then make p(n) classes."""
+    """One class per cycle type over the Grassmannian axis: every relabelling
+    fixes the axis, so the orbits are the p(n) conjugacy classes."""
     if not 3 <= n <= 8:
         raise IncidenceError("supported for 3 <= n <= 8")
-    perms, _, tables = _conjugation(n)
-    axis = grassmannian(n)
-    entries = _classify("grasaxis", n, (
-        ([(perms[x].image, "G") for x in orbit],
-         SkewPerspectiveSpec(n, induced_pair_map(perms[orbit[0]]), axis))
-        for orbit in orbits(len(perms), tables)))
+    entries = _census("grasaxis", n, induced_pair_map, (grassmannian(n),),
+                      ("G",), ([0], [0], [0]))
     if len(entries) != len(partitions(n)):
         raise AssertionError("a cycle type spans several classes")
     return entries
 
 
-@lru_cache(maxsize=1)
-def _n4_orbits() -> dict:
-    """Per skew family tag, the S4 x C2 orbits of the n = 4 instances: the
-    items s * 30 + l, sigma = all_permutations(4)[s], L = labelings[l].
-    Relabelling a_i -> a_tau(i), b_i -> b_tau(i), c_u -> c_tau(u) maps
-    (sigma, L) onto (tau sigma tau^-1, tau L); swapping the sides, a_i <->
-    b_i and c_u -> c_delta(u) for delta = LIFTS[tag](sigma), maps it onto
-    (sigma^-1, delta L).  As kappa commutes with induced pair maps, the two
-    commute, and for kappa delta L is kappa of the induced image."""
-    perms, taus, conj = _conjugation(4)
-    size = len(all_veblen_labelings())
-    *induced, complement = labeling_action()
-    tables = [[row[s] * size + x for s in range(len(perms))
-               for x in induced[perms.index(tau)]] for row, tau in zip(conj, taus)]
-    inverse = [perms.index(sigma.inverse()) * size for sigma in perms]
-    swaps = {"induced": induced,
-             "kappa": [[complement[x] for x in row] for row in induced]}
-    return {tag: tuple(map(tuple, orbits(len(perms) * size, tables + [
-                [inv + x for inv, row in zip(inverse, swap) for x in row]])))
-            for tag, swap in swaps.items()}
-
-
 def census_n4(family: str) -> list[CensusEntry]:
-    """The n = 4 census of one skew family, "perm" or "kappa": every skew
-    over every Veblen labeling, one entry per isomorphism class.  Only the
-    smallest member of each orbit of _n4_orbits is built and canonicalised,
-    and the smallest member of a class is one of those, so the entries are
-    those of classifying every instance."""
-    tags = {"perm": "induced", "kappa": "kappa"}
-    if family not in tags:
+    """The n = 4 census of one skew family, "perm" or "kappa", over every
+    Veblen labeling, keyed by its index in all_veblen_labelings()."""
+    labelings, (swap, cycle, complement) = all_veblen_labelings(), labeling_action()
+    keys = range(len(labelings))
+    lifts = {"perm": (induced_pair_map, keys), "kappa": (kappa_composed, complement)}
+    if family not in lifts:
         raise IncidenceError(f"unknown census family {family!r}")
-    perms, labelings = all_permutations(4), all_veblen_labelings()
-    size, lift = len(labelings), LIFTS[tags[family]]
-    return _classify(family, 4, (
-        ([(perms[x // size].image, x % size) for x in orbit],
-         SkewPerspectiveSpec(4, lift(perms[orbit[0] // size]),
-                             labelings[orbit[0] % size]))
-        for orbit in _n4_orbits()[tags[family]]))
+    lift, epsilon = lifts[family]
+    return _census(family, 4, lift, labelings, keys, (swap, cycle, epsilon))
 
 
 PAPER_PERM_TOTAL = 42

@@ -12,9 +12,9 @@ from math import comb
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center, free_point, require_signature)
-from .perms import (PairPermutation, Permutation, all_permutations,
-                    induced_pair_map, kappa, kappa_composed, orbits,
-                    pair_perm_from_dict, pairs_of, parse_cycles, star, top)
+from .perms import (PairPermutation, Permutation, induced_pair_map, kappa,
+                    kappa_composed, orbits, pair_perm_from_dict, pairs_of,
+                    parse_cycles, star, top)
 
 
 def grassmannian(n: int) -> Configuration:
@@ -175,23 +175,22 @@ class VeblenEnumeration:
 
 @lru_cache(maxsize=1)
 def labeling_action() -> tuple[tuple[int, ...], ...]:
-    """The action of the pair maps on all_veblen_labelings(): one row for
-    each of the 24 induced maps, in all_permutations(4) order, then one for
-    kappa.  row[i] is the index of the image of labelings[i], found from the
-    labelings' pair-line sets (no Configuration is built).  Built once per
-    process."""
+    """The action on all_veblen_labelings() of the induced maps of (1,2) and
+    (1,2,3,4), then of kappa: row[i] is the index of the image of
+    labelings[i], found from the labelings' pair-line sets (no Configuration
+    is built).  As kappa commutes with every induced map and kappa^2 = id,
+    the rows generate the action of the 48 maps u -> phi(u), kappa(phi(u)).
+    Built once per process."""
     line_sets = [_line_pair_sets(v) for v in all_veblen_labelings()]
     key_of = {lines: i for i, lines in enumerate(line_sets)}
-    maps = [*map(induced_pair_map, all_permutations(4)), kappa()]
-    images = (m.as_dict().__getitem__ for m in maps)
+    maps = [induced_pair_map(parse_cycles(c, 4)) for c in ("(1,2)", "(1,2,3,4)")]
+    images = (m.as_dict().__getitem__ for m in maps + [kappa()])
     return tuple(tuple(key_of[frozenset(frozenset(map(image, line)) for line in lines)]
                        for lines in line_sets) for image in images)
 
 
 def enumerate_veblen() -> VeblenEnumeration:
     labelings = all_veblen_labelings()
-    # kappa commutes with every induced map and kappa^2 = id, so the action's
-    # 25 rows generate the action of the 48 maps u -> phi(u), kappa(phi(u))
     orbs = tuple(map(tuple, orbits(len(labelings), labeling_action())))
     orbit_of = {x: k for k, orbit in enumerate(orbs) for x in orbit}
     catalog_orbit = {name: orbit_of[labelings.index(axis)]

@@ -201,6 +201,9 @@ def _check_axioms(config: Configuration):
         for idx in line:
             if not (0 <= idx < nu):
                 return ViolationReport("line uses unknown point", (line,))
+        if any(x >= y for x, y in zip(line, line[1:])):
+            return ViolationReport("line not a strictly increasing index tuple",
+                                   (line,))
     joins = config._joins
     for line in config.lines:
         for pair in combinations(line, 2):

@@ -208,9 +208,8 @@ def _as_label_map(c1, c2, form1, form2):
 
 
 def is_isomorphism(c1: Configuration, c2: Configuration, mapping) -> bool:
-    if sorted(map(str, mapping)) != sorted(map(str, c1.points)):
-        return False
-    if sorted(map(str, mapping.values())) != sorted(map(str, c2.points)):
+    if (set(mapping) != set(c1.points) or len(mapping) != len(c2.points)
+            or set(mapping.values()) != set(c2.points)):
         return False
     lines2 = set(c2.lines)
     for line in c1.lines:

@@ -122,15 +122,22 @@ def line_through(u, v):
 
 def verify_realization(config: Configuration, coords: dict,
                        withheld=None):
-    """Faithfulness check: all points distinct, every line (except the
+    """Faithfulness check: every point a non-zero vector of 3 rationals
+    (ints or Fractions), all points distinct, every line (except the
     withheld one) collinear, and no other triple collinear.  A withheld
     tuple must name the distinct points of a line.
 
     Returns (ok, reason)."""
+    pts = {}
     for lab in config.points:
         if lab not in coords:
             return False, f"missing coordinates for {lab}"
-    pts = {lab: normalize(coords[lab]) for lab in config.points}
+        v = tuple(coords[lab])
+        if len(v) != 3 or not all(isinstance(x, (int, Fraction)) for x in v):
+            return False, f"{lab} is not a rational vector of 3 entries"
+        if not any(v):
+            return False, f"{lab} is the zero vector"
+        pts[lab] = normalize(v)
     return _faithful(config, pts, collinear, withheld)
 
 

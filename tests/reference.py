@@ -1,7 +1,8 @@
 """Test-only reference helpers: brute-force permutation-group computations,
-freeness from its definition, the alternate-center condition, the Veblen labellings by exhaustive search,
-the Grassmannian-axis classification by a sweep over every skew, the empty
-graph, the Veronesian two-letter clique candidates and the sorting
+freeness from its definition, the alternate-center condition, the Veblen
+labellings by exhaustive search, the Grassmannian-axis classification by a
+sweep over every skew, the n = 4 census orbits under the explicit side swap,
+the empty graph, the Veronesian two-letter clique candidates and the sorting
 canonical-form seed and refinement.  They back claims the tests check; the
 library itself does not need them.
 """
@@ -11,7 +12,7 @@ from itertools import combinations, permutations
 from perspectra import census
 from perspectra.analysis import third_graph_criterion
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
-                                 grassmannian)
+                                 all_veblen_labelings, grassmannian)
 from perspectra.incidence import (Configuration, IncidenceError, c_point,
                                   free_point, third_point)
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
@@ -186,6 +187,42 @@ def grasaxis_by_sweep(n: int):
         if len({cycle_type(parse_cycles(skew, n)) for skew, _ in e.members}) != 1:
             raise AssertionError("class does not match the cycle type")
     return entries
+
+
+def n4_orbits_by_side_swap(lift):
+    """The orbits of the 720 n = 4 instances (sigma, L) of one skew family
+    under every relabelling, (sigma, L) -> (tau sigma tau^-1, tau L) for tau
+    in S4, and the side swap, (sigma, L) -> (sigma^-1, delta L) for delta =
+    lift(sigma), found by closing each instance under all 25 maps.  Members
+    are (sigma's image, index of L); each orbit is sorted, and the orbits
+    come in the order of their smallest members."""
+    perms = all_permutations(4)
+    line_sets = [_line_pair_sets(axis) for axis in all_veblen_labelings()]
+    index = {lines: li for li, lines in enumerate(line_sets)}
+    relabellings = [(tau, tau.inverse(), induced_pair_map(tau)) for tau in perms]
+
+    def image(pmap, li):
+        return index[frozenset(frozenset(map(pmap, line)) for line in line_sets[li])]
+
+    def moves(sigma, li):
+        for tau, tau_inv, induced in relabellings:
+            yield tau.compose(sigma).compose(tau_inv), image(induced, li)
+        yield sigma.inverse(), image(lift(sigma), li)
+
+    seen, out = set(), []
+    for sigma in perms:
+        for li in range(len(line_sets)):
+            if (sigma.image, li) in seen:
+                continue
+            orbit, todo = {(sigma.image, li)}, [(sigma, li)]
+            while todo:
+                for other, lj in moves(*todo.pop()):
+                    if (other.image, lj) not in orbit:
+                        orbit.add((other.image, lj))
+                        todo.append((other, lj))
+            seen |= orbit
+            out.append(sorted(orbit))
+    return out
 
 
 def empty_graph(n: int):

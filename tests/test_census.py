@@ -23,9 +23,10 @@ from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
 from perspectra.incidence import a_point, b_point, c_point, center
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
-                              kappa_composed, orbits, pairs_of, partitions)
+                              kappa_composed, pairs_of, partitions)
 
-from reference import grasaxis_by_sweep, veblen_labelings_by_subsets
+from reference import (grasaxis_by_sweep, n4_orbits_by_side_swap,
+                       veblen_labelings_by_subsets)
 
 
 def test_classify_grasaxis_n3_names():
@@ -372,45 +373,65 @@ def test_veblen_labelings_match_the_exhaustive_search():
     assert list(all_veblen_labelings()) == veblen_labelings_by_subsets()
 
 
-def test_veblen_labelings_and_orbits_are_built_once():
-    # the first census enumerates the labellings and builds the orbit tables
-    # of both families and the class labels; the other family's census,
-    # enumerate_veblen and a repeated census reuse all three
-    tables = (all_veblen_labelings, census._n4_orbits, census._labels)
+def test_veblen_labelings_and_class_labels_are_built_once():
+    # the first census enumerates the labellings and builds the class
+    # labels; the other family's census, enumerate_veblen and a repeated
+    # census reuse both.  Each census builds its own orbits.
+    tables = (all_veblen_labelings, census._labels)
     for table in tables:
         table.cache_clear()
     census_n4("perm")
-    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+    assert [table.cache_info().misses for table in tables] == [1, 1]
     census_n4("kappa")
     census_n4("perm")
     assert enumerate_veblen().labelings is all_veblen_labelings()
-    assert [table.cache_info().misses for table in tables] == [1, 1, 1]
+    assert [table.cache_info().misses for table in tables] == [1, 1]
 
 
-def test_classify_items_come_in_the_order_of_their_smallest_members():
+def test_classify_items_come_in_the_order_of_their_smallest_members(monkeypatch):
     # _classify takes the first item of a class as its representative: every
-    # caller's items list their members in increasing order, and the items'
-    # first members increase.  Member keys follow the item index, as
-    # all_permutations is in lexicographic image order.
-    def ascending(orbs):
-        assert all(list(orbit) == sorted(orbit) for orbit in orbs)
-        firsts = [orbit[0] for orbit in orbs]
-        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+    # caller's items list their members in increasing order, the items'
+    # first members increase, and each item's spec builds its first member
+    classify, calls = census._classify, []
 
+    def record(family, n, items):
+        items = list(items)
+        calls.append(items)
+        return classify(family, n, items)
+
+    monkeypatch.setattr(census, "_classify", record)
     for n in range(3, 9):
-        images = [sigma.image for sigma in all_permutations(n)]
-        assert images == sorted(images)
-        ascending(orbits(len(images), census._conjugation(n)[2]))
-    for orbs in census._n4_orbits().values():
-        ascending(orbs)
+        classify_grasaxis(n)
+    census_n4("perm")
+    census_n4("kappa")
+    assert len(calls) == 8
+    for items in calls:
+        assert all(members == sorted(members) for members, _ in items)
+        firsts = [members[0] for members, _ in items]
+        assert firsts == sorted(firsts) and len(set(firsts)) == len(firsts)
+        assert all(spec.delta.phi.image == members[0][0] for members, spec in items)
+
+
+@pytest.mark.parametrize("family, lift", [("perm", induced_pair_map),
+                                          ("kappa", kappa_composed)],
+                         ids=["perm", "kappa"])
+def test_census_orbits_match_the_explicit_side_swap(monkeypatch, family, lift):
+    # second method for the side-swap table: the census swaps (sigma, L)
+    # onto (sigma^-1, epsilon L), the reference onto (sigma^-1, delta L)
+    # with delta = lift(sigma), and both close under all of S4
+    orbs = []
+    monkeypatch.setattr(census, "_classify",
+                        lambda family, n, items: orbs.extend(m for m, _ in items))
+    census_n4(family)
+    assert orbs == n4_orbits_by_side_swap(lift)
 
 
 def test_labeling_action_is_built_once():
-    # enumerate_veblen and the orbit tables of both censuses share one
-    # action of the pair maps on the labellings
+    # enumerate_veblen and both censuses share one action of the pair maps
+    # on the labellings: three generator rows, (1,2), (1,2,3,4) and kappa
     labeling_action.cache_clear()
-    census._n4_orbits.cache_clear()
     enumerate_veblen()
     census_n4("perm")
     census_n4("kappa")
     assert labeling_action.cache_info().misses == 1
+    assert len(labeling_action()) == 3

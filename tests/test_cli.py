@@ -417,6 +417,26 @@ def test_src_names_are_used_or_exported():
     assert unused == []
 
 
+def test_src_imports_are_read():
+    # every name a src/perspectra module imports is read in it; the package
+    # __init__.py imports to export, and __future__ imports set a mode
+    src = Path(perspectra.__file__).parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unread += [f"{path.name}:{name}" for alias in node.names
+                           if (name := (alias.asname or alias.name).partition(".")[0])
+                           not in read]
+    assert unread == []
+
+
 def test_src_locals_are_read():
     # every local name a src/ function stores into is read in it; d[k] = v
     # stores into d, and `_` names a value kept unread.  Parameters and

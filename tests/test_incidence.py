@@ -215,6 +215,17 @@ def test_verify_flags_duplicate_lines_and_unknown_points():
     assert unknown == ViolationReport("line uses unknown point", ((0, 1, 7),))
 
 
+@pytest.mark.parametrize("line", [(2, 1, 0), (0, 0, 1), (1, 0, 3)],
+                         ids=["reversed", "repeated", "unsorted"])
+def test_verify_flags_lines_out_of_index_order(line):
+    # a line stored out of order or with a repeated index is malformed, not
+    # an irregular configuration
+    pts = tuple(free_point(s) for s in "wxyz")
+    report = verify(Configuration(pts, (line, (0, 1, 3))))
+    assert report == ViolationReport("line not a strictly increasing index tuple",
+                                     (line,))
+
+
 def test_unknown_labels_are_rejected():
     with pytest.raises(IncidenceError, match="no such point q"):
         desargues().index_of(free_point("q"))

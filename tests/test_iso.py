@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from perspectra import iso
-from perspectra.incidence import Configuration, IncidenceError, free_point
+from perspectra.incidence import (Configuration, IncidenceError, a_point,
+                                  free_point)
 from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  desargues, fez, grassmannian, kantor,
                                  kappa_spec, perm_spec, skew_perspective,
@@ -312,3 +313,17 @@ def test_is_isomorphism_rejects_partial_and_foreign_maps():
     foreign = dict(identity_map)
     foreign[config.points[0]] = free_point("q")
     assert not is_isomorphism(config, config, foreign)
+
+
+def test_is_isomorphism_compares_labels_not_their_strings():
+    # free_point("a1") prints as a_point(1) but is another label
+    config = desargues()
+    identity_map = {lab: lab for lab in config.points}
+    look_alike = free_point("a1")
+    assert str(look_alike) == str(a_point(1))
+    as_key = dict(identity_map)
+    as_key[look_alike] = as_key.pop(a_point(1))
+    assert not is_isomorphism(config, config, as_key)
+    as_value = dict(identity_map)
+    as_value[a_point(1)] = look_alike
+    assert not is_isomorphism(config, config, as_value)

@@ -51,6 +51,19 @@ def test_verify_realization_detects_defects():
     assert not ok and "missing" in reason
 
 
+@pytest.mark.parametrize("vector, reason", [
+    ((0, 0, 0), "is the zero vector"),
+    ((1, 2), "is not a rational vector of 3 entries"),
+    ((1, 2, 3, 4), "is not a rational vector of 3 entries"),
+    ((1, "x", 0), "is not a rational vector of 3 entries"),
+], ids=["zero", "short", "long", "not-rational"])
+def test_verify_realization_rejects_bad_coordinates(c4_realization, vector, reason):
+    config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
+    coords = dict(c4_realization.coords)
+    coords[a_point(2)] = vector
+    assert verify_realization(config, coords) == (False, f"a2 {reason}")
+
+
 def test_faithfulness_needs_lines_of_three_points():
     d = desargues()
     config = Configuration.build(
