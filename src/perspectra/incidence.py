@@ -128,7 +128,10 @@ class Configuration:
         index = {lab: i for i, lab in enumerate(pts)}
         lines = set()
         for line in line_label_sets:
-            idxs = tuple(sorted(index[lab] for lab in line))
+            try:
+                idxs = tuple(sorted(index[lab] for lab in line))
+            except KeyError as missing:
+                raise IncidenceError(f"no such point {missing.args[0]}") from None
             if len(set(idxs)) != len(idxs):
                 raise IncidenceError(f"repeated point in line {line}")
             lines.add(idxs)

@@ -8,10 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
-                        c_point, center)
+                        c_point, center, require_partial_linear)
 from .perms import pairs_of
 from .families import SkewPerspectiveSpec, perm_spec, skew_perspective
 
@@ -128,45 +128,46 @@ def verify_realization(config: Configuration, coords: dict,
     tuple must name the distinct points of a line.
 
     Returns (ok, reason)."""
-    pts = {}
-    for lab in config.points:
+    return _faithful(config, coords, lambda x: isinstance(x, (int, Fraction)),
+                     "a rational vector of 3 entries", normalize, collinear,
+                     withheld)
+
+
+def _faithful(config: Configuration, coords: dict, is_entry, vector, scale,
+              is_collinear, withheld=None):
+    """verify_realization and verify_pg_embedding, given their field's entry
+    test, wording of a vector, scaling to a representative and collinearity."""
+    labs = config.points
+    vec = []
+    for lab in labs:
         if lab not in coords:
             return False, f"missing coordinates for {lab}"
-        v = tuple(coords[lab])
-        if len(v) != 3 or not all(isinstance(x, (int, Fraction)) for x in v):
-            return False, f"{lab} is not a rational vector of 3 entries"
+        try:
+            v = tuple(coords[lab])
+        except TypeError:       # not a sequence at all, e.g. 5 or None
+            v = ()
+        if len(v) != 3 or not all(map(is_entry, v)):
+            return False, f"{lab} is not {vector}"
         if not any(v):
             return False, f"{lab} is the zero vector"
-        pts[lab] = normalize(v)
-    return _faithful(config, pts, collinear, withheld)
-
-
-def _faithful(config: Configuration, pts: dict, is_collinear, withheld=None):
-    """The checks verify_realization and verify_pg_embedding share, on
-    points already normalized."""
-    labs = config.points
-    vec = [pts[lab] for lab in labs]
+        vec.append(scale(v))
     for i, j in combinations(range(len(labs)), 2):
         if vec[i] == vec[j]:
             return False, f"points {labs[i]} and {labs[j]} coincide"
-    on_line = {frozenset(line) for line in config.lines}
-    withheld_set = None
+    joins = config._joins  # a sorted triple t is a line iff joins.get(t[:2]) == t
+    skipped = None
     if withheld is not None:
-        withheld_set = frozenset(map(config.index_of, withheld))
-        if len(withheld_set) != len(withheld) or withheld_set not in on_line:
+        skipped = tuple(sorted(config._index.get(lab, -1) for lab in withheld))
+        if joins.get(skipped[:2]) != skipped:
             return False, f"withheld {tuple(map(str, withheld))} is not a line"
     for line in config.lines:
         if len(line) != 3:
             return False, (f"line {tuple(map(str, config.line_labels(line)))} "
                            "does not have 3 points")
-        if frozenset(line) == withheld_set:
-            continue
-        if not is_collinear(*(vec[i] for i in line)):
+        if line != skipped and not is_collinear(*(vec[i] for i in line)):
             return False, f"line {tuple(map(str, config.line_labels(line)))} not collinear"
     for tri in combinations(range(len(labs)), 3):
-        if frozenset(tri) in on_line:
-            continue
-        if is_collinear(*(vec[i] for i in tri)):
+        if joins.get(tri[:2]) != tri and is_collinear(*(vec[i] for i in tri)):
             return False, "spurious collinearity " + str(
                 tuple(str(labs[i]) for i in tri))
     return True, "faithful"
@@ -371,23 +372,6 @@ def _plane(q: int):
     return points, line_mask
 
 
-def _third_points(config: Configuration):
-    """third[u][v]: the third point of the line through u and v, or None.
-    Raises IncidenceError unless every line has three points and no two
-    lines share two points."""
-    n = len(config.points)
-    third = [[None] * n for _ in range(n)]
-    for line in config.lines:
-        if len(line) != 3:
-            raise IncidenceError(f"line {line} does not have 3 points")
-        for x, y, z in permutations(line):
-            if third[x][y] not in (None, z):
-                raise IncidenceError(f"points {config.points[x]} and "
-                                     f"{config.points[y]} lie on two lines")
-            third[x][y] = z
-    return third
-
-
 class _Budget(Exception):
     pass
 
@@ -461,7 +445,14 @@ def embed_search(config: Configuration, q: int, budget: int = 10 ** 9) -> EmbedR
     positive int."""
     if type(budget) is not int or budget < 1:
         raise IncidenceError(f"budget must be a positive int, got {budget!r}")
-    third = _third_points(config)
+    for line in config.lines:
+        if len(line) != 3:
+            raise IncidenceError(f"line {line} does not have 3 points")
+    require_partial_linear(config)
+    # third[u][v]: the third point of the line through u and v, or None
+    third = [[None] * len(config.points) for _ in config.points]
+    for (x, y), line in config._joins.items():
+        third[x][y] = third[y][x] = sum(line) - x - y
     frame = next((quad for quad in combinations(range(len(config.points)), 4)
                   if all(third[u][v] != w for u, v, w in combinations(quad, 3))),
                  None)
@@ -490,17 +481,10 @@ def verify_pg_embedding(config: Configuration, assignment: dict, q: int):
     every point is a non-zero vector over GF(q).  Returns (ok, reason)."""
     f = galois_field(q)
     add, mul, neg = f.add, f.mul, f.neg
-    pts = {}
-    for lab in config.points:
-        if lab not in assignment:
-            return False, f"missing coordinates for {lab}"
-        v = tuple(assignment[lab])
-        if len(v) != 3 or not all(type(x) is int and 0 <= x < q for x in v):
-            return False, f"{lab} is not a vector over GF({q})"
-        if not any(v):
-            return False, f"{lab} is the zero vector"
-        scale = f.inv(next(x for x in v if x))
-        pts[lab] = tuple(mul(scale, x) for x in v)
+
+    def scale(v):
+        s = f.inv(next(x for x in v if x))
+        return tuple(mul(s, x) for x in v)
 
     def collinear_q(u, v, w):
         def minor(i, j):
@@ -508,4 +492,5 @@ def verify_pg_embedding(config: Configuration, assignment: dict, q: int):
         return add(add(mul(u[0], minor(1, 2)), mul(u[1], minor(2, 0))),
                    mul(u[2], minor(0, 1))) == 0
 
-    return _faithful(config, pts, collinear_q)
+    return _faithful(config, assignment, lambda x: type(x) is int and 0 <= x < q,
+                     f"a vector over GF({q})", scale, collinear_q)

@@ -76,6 +76,14 @@ def test_build_rejects_repeated_point_in_line():
                             [(a_point(1), a_point(1), a_point(2))])
 
 
+def test_build_rejects_a_line_through_an_unknown_point():
+    # worded as index_of words it
+    a, b, c = map(free_point, "abc")
+    with pytest.raises(IncidenceError) as exc:
+        Configuration.build([a], [(a, b, c)])
+    assert str(exc.value) == "no such point b"
+
+
 def test_verify_desargues_signature():
     # the classical 10_3 configuration
     sig = verify(desargues())

@@ -56,7 +56,9 @@ def test_verify_realization_detects_defects():
     ((1, 2), "is not a rational vector of 3 entries"),
     ((1, 2, 3, 4), "is not a rational vector of 3 entries"),
     ((1, "x", 0), "is not a rational vector of 3 entries"),
-], ids=["zero", "short", "long", "not-rational"])
+    (5, "is not a rational vector of 3 entries"),
+    (None, "is not a rational vector of 3 entries"),
+], ids=["zero", "short", "long", "not-rational", "int", "none"])
 def test_verify_realization_rejects_bad_coordinates(c4_realization, vector, reason):
     config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
     coords = dict(c4_realization.coords)
@@ -391,13 +393,15 @@ def test_verify_pg_embedding_accepts_found_and_rejects_tampered(config, q):
     assert verify_pg_embedding(config, scaled, q)[0]
 
     line = config.line_labels(config.lines[0])
-    cases = {
-        "missing": {lab: v for lab, v in pts.items() if lab != line[0]},
-        "zero vector": {**pts, line[0]: (0, 0, 0)},
-        "not a vector": {**pts, line[0]: (0, 1, q)},
-        "coincide": {**pts, line[0]: pts[line[1]]},
-    }
-    for reason, tampered in cases.items():
+    cases = [
+        ("missing", {lab: v for lab, v in pts.items() if lab != line[0]}),
+        ("zero vector", {**pts, line[0]: (0, 0, 0)}),
+        ("not a vector", {**pts, line[0]: (0, 1, q)}),
+        ("not a vector", {**pts, line[0]: 5}),
+        ("not a vector", {**pts, line[0]: None}),
+        ("coincide", {**pts, line[0]: pts[line[1]]}),
+    ]
+    for reason, tampered in cases:
         ok, why = verify_pg_embedding(config, tampered, q)
         assert not ok and reason in why
     # the same points against one line fewer, and against one line more
@@ -420,7 +424,7 @@ def test_embed_search_rejects_lines_that_are_not_triples():
     with pytest.raises(IncidenceError, match="does not have 3 points"):
         embed_search(four, 7)
     shared = Configuration.build(names, [names[:3], names[:2] + names[3:4]])
-    with pytest.raises(IncidenceError, match="two lines"):
+    with pytest.raises(IncidenceError, match="not partially linear"):
         embed_search(shared, 7)
 
 
@@ -433,7 +437,7 @@ def test_embed_search_needs_a_frame():
 
 @pytest.mark.parametrize("withheld", [
     ("a1", "b2", "c{3,4}"), ("p", "a1"), ("p", "a1", "b1", "a2"),
-    ("p", "a1", "b1", "a1"), ("p", "a1", "a1"), ()])
+    ("p", "a1", "b1", "a1"), ("p", "a1", "a1"), (), ("p", "a1", "zz")])
 def test_withheld_must_be_a_line(c4_realization, withheld):
     # withholding a triple that is no line would skip its spurious-
     # collinearity test and report it as a line that does not close
