@@ -13,8 +13,7 @@ from fractions import Fraction
 
 from . import __version__
 from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
-                        center, from_json, require_partial_linear, to_dot,
-                        to_json, verify)
+                        center, from_json, to_dot, to_json, verify)
 from .families import (SkewPerspectiveSpec, grassmannian, kappa_spec,
                        multiveblen, path_graph, complete_graph, perm_spec,
                        quasi_grassmannian, skew_perspective, veblen_catalog,
@@ -228,7 +227,6 @@ def _budget(text: str) -> int:
 
 def _cmd_search_pg(args):
     config = _load(args.input)
-    require_partial_linear(config)
     result = embed_search(config, args.q, _budget(args.budget))
     payload = {"status": result.status, "nodes": result.nodes}
     if result.assignment:

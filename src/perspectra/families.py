@@ -87,11 +87,11 @@ def _perspective(n: int, side_lines, axis: Configuration, what: str) -> Configur
 def skew_perspective(spec: SkewPerspectiveSpec) -> Configuration:
     """Join two complete graphs through a center with edge-correspondence
     delta and the given axis on the c-points."""
-    dinv = spec.delta.inverse()
-    side_lines = []
-    for i, j in pairs_of(spec.n):
-        side_lines.append((a_point(i), a_point(j), c_point(i, j)))
-        side_lines.append((b_point(i), b_point(j), c_point(*dinv((i, j)))))
+    # delta sends the a-side edge u through c_u to the b-side edge v
+    side_lines = [(a_point(i), a_point(j), c_point(i, j))
+                  for i, j in pairs_of(spec.n)]
+    side_lines += [(b_point(v[0]), b_point(v[1]), c_point(*u))
+                   for u, v in spec.delta.mapping]
     return _perspective(spec.n, side_lines, spec.axis, "construction")
 
 

@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 
 _KIND_ORDER = {"p": 0, "a": 1, "b": 2, "c": 3, "free": 4}
@@ -121,6 +121,26 @@ class Configuration:
     points: tuple[PointLabel, ...]
     lines: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        """Each line must be a strictly increasing tuple of indices into
+        points, and the lines must be in strictly increasing order."""
+        lines = self.lines
+        if not ({tuple} >= set(map(type, lines))
+                and {int} >= set(map(type, chain.from_iterable(lines)))):
+            raise IncidenceError("lines must be tuples of int point indices")
+        span = frozenset(range(len(self.points)))
+        for line in lines:
+            if not span.issuperset(line):
+                raise IncidenceError(f"line {line} uses an unknown point")
+            if line != tuple(sorted(set(line))):
+                raise IncidenceError(
+                    f"repeated point in line {list(self.line_labels(line))}"
+                    if len(set(line)) < len(line) else
+                    f"line {line} is not a strictly increasing index tuple")
+        if list(lines) != sorted(set(lines)):
+            raise IncidenceError("duplicate line" if len(set(lines)) < len(lines)
+                                 else "lines are not in strictly increasing order")
+
     @staticmethod
     def build(points, line_label_sets) -> "Configuration":
         """Normalize arbitrary point/line collections into canonical storage."""
@@ -129,12 +149,9 @@ class Configuration:
         lines = set()
         for line in line_label_sets:
             try:
-                idxs = tuple(sorted(index[lab] for lab in line))
+                lines.add(tuple(sorted(index[lab] for lab in line)))
             except KeyError as missing:
                 raise IncidenceError(f"no such point {missing.args[0]}") from None
-            if len(set(idxs)) != len(idxs):
-                raise IncidenceError(f"repeated point in line {line}")
-            lines.add(idxs)
         return Configuration(pts, tuple(sorted(lines)))
 
     # lazy caches, outside the dataclass fields and so outside equality
@@ -196,17 +213,6 @@ def _check_axioms(config: Configuration):
             "not a k-configuration",
             (config.line_labels(bad[0]), config.line_labels(bad[-1])))
     kappa = sizes.pop() if sizes else None
-    seen = set()
-    for line in config.lines:
-        if line in seen:
-            return ViolationReport("duplicate line", (config.line_labels(line),))
-        seen.add(line)
-        for idx in line:
-            if not (0 <= idx < nu):
-                return ViolationReport("line uses unknown point", (line,))
-        if any(x >= y for x, y in zip(line, line[1:])):
-            return ViolationReport("line not a strictly increasing index tuple",
-                                   (line,))
     joins = config._joins
     for line in config.lines:
         for pair in combinations(line, 2):
@@ -291,14 +297,7 @@ def from_json_dict(data: dict) -> Configuration:
             if type(i) is not int or not 0 <= i < len(labels):
                 raise IncidenceError(f"line {line!r}: no point with index {i!r}")
         lines.append(tuple(sorted(map(position.__getitem__, line))))
-    for line, idxs in zip(data["lines"], lines):
-        if len(set(idxs)) != len(idxs):
-            raise IncidenceError("repeated point in line "
-                                 f"{list(map(labels.__getitem__, line))}")
-    unique = set(lines)
-    if len(unique) != len(lines):
-        raise IncidenceError("duplicate line")
-    return Configuration(tuple(map(labels.__getitem__, order)), tuple(sorted(unique)))
+    return Configuration(tuple(map(labels.__getitem__, order)), tuple(sorted(lines)))
 
 
 def from_json(text: str) -> Configuration:

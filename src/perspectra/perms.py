@@ -133,10 +133,6 @@ class PairPermutation:
     def __call__(self, u) -> tuple[int, int]:
         return self._dict[tuple(sorted(u))]
 
-    def inverse(self) -> "PairPermutation":
-        inv = tuple(sorted((v, u) for u, v in self.mapping))
-        return PairPermutation(self.n, inv)
-
     def compose(self, other: "PairPermutation") -> "PairPermutation":
         d = self._dict
         return PairPermutation(

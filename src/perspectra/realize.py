@@ -5,6 +5,7 @@ search into small Desarguesian planes PG(2,q), and line-closure tests.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -137,6 +138,8 @@ def _faithful(config: Configuration, coords: dict, is_entry, vector, scale,
               is_collinear, withheld=None):
     """verify_realization and verify_pg_embedding, given their field's entry
     test, wording of a vector, scaling to a representative and collinearity."""
+    if not isinstance(coords, Mapping):
+        return False, "coordinates are not a mapping of points to vectors"
     labs = config.points
     vec = []
     for lab in labs:

@@ -588,11 +588,12 @@ def test_search_pg_rejects_q_above_the_bound(tmp_path, capsys, monkeypatch):
 
 
 def test_search_pg_rejects_four_point_line(tmp_path, capsys):
+    # embed_search's own check names the line; search-pg runs no other first
     bad = {"points": list("abcdefg"), "lines": [[0, 1, 2, 3], [0, 4, 5]]}
     path = tmp_path / "four.json"
     path.write_text(json.dumps(bad))
     assert run(["search-pg", str(path), "--q", "7"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: line (0, 1, 2, 3) does not have 3 points\n")
 
 
 @pytest.mark.parametrize("command", [

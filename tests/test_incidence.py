@@ -3,9 +3,10 @@
 import dataclasses
 import json
 import pickle
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from perspectra.incidence import (Configuration, ConfigurationSignature,
                                   IncidenceError, PointLabel, ViolationReport,
@@ -214,24 +215,63 @@ def test_verify_invariant_under_line_order(n, rng):
     assert verify(shuffled) == verify(g)
 
 
-def test_verify_flags_duplicate_lines_and_unknown_points():
+def test_constructor_rejects_duplicate_lines_and_unknown_points():
     # a Configuration built without Configuration.build is checked as given
     pts = tuple(free_point(s) for s in "wxyz")
-    twice = verify(Configuration(pts, ((0, 1, 2), (0, 1, 2))))
-    assert twice == ViolationReport("duplicate line", (pts[:3],))
-    unknown = verify(Configuration(pts, ((0, 1, 7),)))
-    assert unknown == ViolationReport("line uses unknown point", ((0, 1, 7),))
+    with pytest.raises(IncidenceError) as twice:
+        Configuration(pts, ((0, 1, 2), (0, 1, 2)))
+    assert str(twice.value) == "duplicate line"
+    with pytest.raises(IncidenceError) as unknown:
+        Configuration(pts, ((0, 1, 7),))
+    assert str(unknown.value) == "line (0, 1, 7) uses an unknown point"
 
 
-@pytest.mark.parametrize("line", [(2, 1, 0), (0, 0, 1), (1, 0, 3)],
-                         ids=["reversed", "repeated", "unsorted"])
-def test_verify_flags_lines_out_of_index_order(line):
+@pytest.mark.parametrize("line, message", [
+    ((2, 1, 0), "line (2, 1, 0) is not a strictly increasing index tuple"),
+    ((0, 0, 1), "repeated point in line "
+                "[PointLabel('w'), PointLabel('w'), PointLabel('x')]"),
+    ((1, 0, 3), "line (1, 0, 3) is not a strictly increasing index tuple"),
+    ((0, 2, 3), "lines are not in strictly increasing order"),
+    ([0, 1, 2], "lines must be tuples of int point indices"),
+    ((0, 1.0, 2), "lines must be tuples of int point indices"),
+    ((0, True, 2), "lines must be tuples of int point indices"),
+], ids=["reversed", "repeated", "unsorted", "line-order", "list", "float", "bool"])
+def test_constructor_rejects_malformed_line_storage(line, message):
     # a line stored out of order or with a repeated index is malformed, not
     # an irregular configuration
     pts = tuple(free_point(s) for s in "wxyz")
-    report = verify(Configuration(pts, (line, (0, 1, 3))))
-    assert report == ViolationReport("line not a strictly increasing index tuple",
-                                     (line,))
+    with pytest.raises(IncidenceError) as caught:
+        Configuration(pts, (line, (0, 1, 3)))
+    assert str(caught.value) == message
+
+
+_INDEX_LINES = st.lists(st.lists(st.integers(-1, 6), max_size=4).map(tuple),
+                        max_size=6)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.sampled_from("uvwxyz"), min_size=1, unique=True), _INDEX_LINES)
+def test_constructor_accepts_exactly_what_build_stores(names, lines):
+    # raw storage is accepted iff build stores the same labelled lines so
+    points, lines = tuple(sorted(map(free_point, names))), tuple(lines)
+    try:
+        config = Configuration(points, lines)
+    except IncidenceError:
+        config = None
+    if not all(0 <= i < len(points) for line in lines for i in line):
+        assert config is None
+        return
+    try:
+        built = Configuration.build(points, [[points[i] for i in line]
+                                             for line in lines])
+    except IncidenceError:      # a repeated point
+        built = None
+    if built is None or built.lines != lines:
+        assert config is None
+        return
+    assert config == built and verify(config) == verify(built)
+    for x, y in combinations(points, 2):
+        assert join(config, x, y) == join(built, x, y)
 
 
 def test_unknown_labels_are_rejected():

@@ -51,19 +51,27 @@ def test_verify_realization_detects_defects():
     assert not ok and "missing" in reason
 
 
-@pytest.mark.parametrize("vector, reason", [
-    ((0, 0, 0), "is the zero vector"),
-    ((1, 2), "is not a rational vector of 3 entries"),
-    ((1, 2, 3, 4), "is not a rational vector of 3 entries"),
-    ((1, "x", 0), "is not a rational vector of 3 entries"),
-    (5, "is not a rational vector of 3 entries"),
-    (None, "is not a rational vector of 3 entries"),
-], ids=["zero", "short", "long", "not-rational", "int", "none"])
-def test_verify_realization_rejects_bad_coordinates(c4_realization, vector, reason):
+_NOT_A_MAPPING = "coordinates are not a mapping of points to vectors"
+
+
+# a dict replaces a2's vector; anything else replaces the whole assignment
+@pytest.mark.parametrize("tamper, reason", [
+    ({a_point(2): (0, 0, 0)}, "a2 is the zero vector"),
+    ({a_point(2): (1, 2)}, "a2 is not a rational vector of 3 entries"),
+    ({a_point(2): (1, 2, 3, 4)}, "a2 is not a rational vector of 3 entries"),
+    ({a_point(2): (1, "x", 0)}, "a2 is not a rational vector of 3 entries"),
+    ({a_point(2): 5}, "a2 is not a rational vector of 3 entries"),
+    ({a_point(2): None}, "a2 is not a rational vector of 3 entries"),
+    (None, _NOT_A_MAPPING),
+    (5, _NOT_A_MAPPING),
+    ([(1, 0, 0), (0, 1, 0)], _NOT_A_MAPPING),
+], ids=["zero", "short", "long", "not-rational", "int", "none",
+        "coords-none", "coords-int", "coords-list"])
+def test_verify_realization_rejects_bad_coordinates(c4_realization, tamper, reason):
     config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
-    coords = dict(c4_realization.coords)
-    coords[a_point(2)] = vector
-    assert verify_realization(config, coords) == (False, f"a2 {reason}")
+    coords = ({**c4_realization.coords, **tamper} if isinstance(tamper, dict)
+              else tamper)
+    assert verify_realization(config, coords) == (False, reason)
 
 
 def test_faithfulness_needs_lines_of_three_points():
@@ -400,6 +408,9 @@ def test_verify_pg_embedding_accepts_found_and_rejects_tampered(config, q):
         ("not a vector", {**pts, line[0]: 5}),
         ("not a vector", {**pts, line[0]: None}),
         ("coincide", {**pts, line[0]: pts[line[1]]}),
+        ("not a mapping", None),
+        ("not a mapping", 5),
+        ("not a mapping", list(pts.values())),
     ]
     for reason, tampered in cases:
         ok, why = verify_pg_embedding(config, tampered, q)
