@@ -12,7 +12,7 @@ from .incidence import (Configuration, IncidenceError, PointLabel, a_point,
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
-from .families import SkewPerspectiveSpec, skew_perspective
+from .families import SkewPerspectiveSpec, _pair_axis, skew_perspective
 from .iso import are_isomorphic
 
 
@@ -170,11 +170,9 @@ def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspecti
         delta = induced_pair_map(cls.phi)
     elif cls.kind == "complement":
         delta = kappa_composed(cls.phi)
-    axis_lines = [[c_point(*pair_of_c[lab]) for lab in labs]
-                  for labs in map(config.line_labels, config.lines)
-                  if pair_of_c.keys() >= set(labs)]
-    axis = Configuration.build(
-        [c_point(i, j) for i, j in pairs_of(n)], axis_lines)
+    axis = _pair_axis(n, ([pair_of_c[lab] for lab in labs]
+                          for labs in map(config.line_labels, config.lines)
+                          if pair_of_c.keys() >= set(labs)))
     spec = SkewPerspectiveSpec(n, delta, axis)
     rebuilt = skew_perspective(spec)
     if are_isomorphic(rebuilt, config) is None:

@@ -9,7 +9,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
@@ -202,17 +201,13 @@ def _cmd_identify(args):
     return 0
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _cmd_realize(args):
     config = _load(args.input)
     real = parametric_realization(args.case, args.params)
     ok, reason = verify_realization(config, real.coords)
     if not ok:
         raise IncidenceError(f"realization not faithful on input: {reason}")
-    payload = {str(lab): [_frac_str(x) for x in v]
+    payload = {str(lab): list(map(str, v))
                for lab, v in real.coords.items()}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output)
     return 0

@@ -21,10 +21,25 @@ def grassmannian(n: int) -> Configuration:
     """Points: 2-subsets of {1..n}; lines: the 2-subsets of each 3-subset."""
     if n < 3:
         raise IncidenceError("no lines")
-    points = [c_point(i, j) for i, j in pairs_of(n)]
-    lines = [tuple(c_point(*u) for u in top(Y))
-             for Y in combinations(range(1, n + 1), 3)]
-    return Configuration.build(points, lines)
+    return _pair_axis(n, map(top, combinations(range(1, n + 1), 3)))
+
+
+def _pair_axis(n: int, pair_lines) -> Configuration:
+    """The configuration on the c-points of {1..n} whose lines are given as
+    collections of 2-subsets."""
+    return Configuration.build([c_point(*u) for u in pairs_of(n)],
+                               [[c_point(*u) for u in line] for line in pair_lines])
+
+
+def _line_pair_sets(axis: Configuration):
+    return frozenset(frozenset(lab.key for lab in axis.line_labels(line))
+                     for line in axis.lines)
+
+
+def _pair_image(pmap: PairPermutation, line_sets) -> frozenset:
+    """The image of a _line_pair_sets value under a pair map."""
+    image = pmap.as_dict().__getitem__
+    return frozenset(frozenset(map(image, line)) for line in line_sets)
 
 
 @dataclass(frozen=True)
@@ -110,18 +125,8 @@ def zeta() -> PairPermutation:
 # ---------------------------------------------------------------------------
 # Veblen labelings on the 2-subsets of {1,2,3,4}
 
-def _axis_from_pair_lines(pair_lines) -> Configuration:
-    points = [c_point(i, j) for i, j in pairs_of(4)]
-    lines = [tuple(c_point(*u) for u in line) for line in pair_lines]
-    return Configuration.build(points, lines)
-
-
 def apply_pair_map_to_axis(pmap: PairPermutation, axis: Configuration) -> Configuration:
-    lines = []
-    for line in axis.lines:
-        labs = axis.line_labels(line)
-        lines.append(tuple(c_point(*pmap(lab.key)) for lab in labs))
-    return Configuration.build(axis.points, lines)
+    return _pair_axis(pmap.n, _pair_image(pmap, _line_pair_sets(axis)))
 
 
 _W2_PAIR_LINES = (
@@ -132,19 +137,12 @@ _W2_PAIR_LINES = (
 )
 
 
-def _line_pair_sets(axis: Configuration):
-    return frozenset(frozenset(lab.key for lab in axis.line_labels(line))
-                     for line in axis.lines)
-
-
 def count_top_lines(axis: Configuration) -> int:
-    tops = {top(Y) for Y in combinations(range(1, 5), 3)}
-    return sum(1 for line in _line_pair_sets(axis) if frozenset(line) in tops)
+    return len(_line_pair_sets(axis) & {top(Y) for Y in combinations(range(1, 5), 3)})
 
 
 def count_star_lines(axis: Configuration) -> int:
-    stars = {star(i, 4) for i in range(1, 5)}
-    return sum(1 for line in _line_pair_sets(axis) if frozenset(line) in stars)
+    return len(_line_pair_sets(axis) & {star(i, 4) for i in range(1, 5)})
 
 
 @lru_cache(maxsize=1)
@@ -162,7 +160,7 @@ def all_veblen_labelings() -> tuple[Configuration, ...]:
                 out.append(sorted(tuple(sorted(line)) for k, line
                                   in enumerate(product(*matching))
                                   if k.bit_count() % 2 == parity))
-    return tuple(map(_axis_from_pair_lines, sorted(out)))
+    return tuple(_pair_axis(4, lines) for lines in sorted(out))
 
 
 @dataclass(frozen=True)
@@ -184,9 +182,8 @@ def labeling_action() -> tuple[tuple[int, ...], ...]:
     line_sets = [_line_pair_sets(v) for v in all_veblen_labelings()]
     key_of = {lines: i for i, lines in enumerate(line_sets)}
     maps = [induced_pair_map(parse_cycles(c, 4)) for c in ("(1,2)", "(1,2,3,4)")]
-    images = (m.as_dict().__getitem__ for m in maps + [kappa()])
-    return tuple(tuple(key_of[frozenset(frozenset(map(image, line)) for line in lines)]
-                       for lines in line_sets) for image in images)
+    return tuple(tuple(key_of[_pair_image(m, lines)] for lines in line_sets)
+                 for m in maps + [kappa()])
 
 
 def enumerate_veblen() -> VeblenEnumeration:
@@ -203,7 +200,7 @@ def veblen_catalog() -> dict:
     """The six named labelings: G, G*, W2, V4 = kappa(W2), V5, V6 = kappa(V5)."""
     g = grassmannian(4)
     g_star = apply_pair_map_to_axis(kappa(), g)
-    w2 = _axis_from_pair_lines(_W2_PAIR_LINES)
+    w2 = _pair_axis(4, _W2_PAIR_LINES)
     v4 = apply_pair_map_to_axis(kappa(), w2)
     v5 = _v5_labeling()
     v6 = apply_pair_map_to_axis(kappa(), v5)

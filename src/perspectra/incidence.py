@@ -122,14 +122,23 @@ class Configuration:
     lines: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        """Each line must be a strictly increasing tuple of indices into
-        points, and the lines must be in strictly increasing order."""
+        """The points must be PointLabels in strictly increasing label order,
+        each line a strictly increasing tuple of at least two indices into
+        points, and the lines in strictly increasing order."""
+        if not {PointLabel} >= set(map(type, self.points)):
+            raise IncidenceError("points must be PointLabels")
+        keys = [lab.sort_key() for lab in self.points]
+        if keys != sorted(set(keys)):
+            raise IncidenceError("duplicate point labels" if len(set(keys)) < len(keys)
+                                 else "points are not in label order")
         lines = self.lines
         if not ({tuple} >= set(map(type, lines))
                 and {int} >= set(map(type, chain.from_iterable(lines)))):
             raise IncidenceError("lines must be tuples of int point indices")
         span = frozenset(range(len(self.points)))
         for line in lines:
+            if len(line) < 2:
+                raise IncidenceError(f"line {line} has fewer than two points")
             if not span.issuperset(line):
                 raise IncidenceError(f"line {line} uses an unknown point")
             if line != tuple(sorted(set(line))):
@@ -286,8 +295,6 @@ def from_json_dict(data: dict) -> Configuration:
     labels = [parse_label(t) for t in data["points"]]
     keys = [lab.sort_key() for lab in labels]
     order = sorted(range(len(labels)), key=keys.__getitem__)
-    if any(keys[i] == keys[j] for i, j in zip(order, order[1:])):
-        raise IncidenceError("duplicate point labels")
     position = {old: new for new, old in enumerate(order)}
     lines = []
     for line in data["lines"]:

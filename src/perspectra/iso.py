@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from .incidence import (Configuration, IncidenceError, a_point, b_point,
                         c_point, center, require_partial_linear)
 from .perms import LIFTS, all_permutations, induced_pair_map, pairs_of
-from .families import (SkewPerspectiveSpec, _line_pair_sets,
-                       apply_pair_map_to_axis, skew_perspective)
+from .families import (SkewPerspectiveSpec, _line_pair_sets, _pair_image,
+                       skew_perspective)
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ def criterion_iso(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
     lift = LIFTS[tag]
     s1, s2 = spec1.delta.phi, spec2.delta.phi
     s2_inv = s2.inverse()
-    target = _line_pair_sets(spec2.axis)
+    lines1, target = _line_pair_sets(spec1.axis), _line_pair_sets(spec2.axis)
     for phi in all_permutations(spec1.n):
         pbar = induced_pair_map(phi)
         conj = phi.compose(s1)
@@ -266,7 +266,7 @@ def criterion_iso(spec1: SkewPerspectiveSpec, spec2: SkewPerspectiveSpec):
             if conj != other.compose(phi):
                 continue
             g = lift(s2_inv).compose(pbar) if swap_ab else pbar
-            if _line_pair_sets(apply_pair_map_to_axis(g, spec1.axis)) == target:
+            if _pair_image(g, lines1) == target:
                 mapping = _build_map(spec1.n, phi, swap_ab, g)
                 if not is_isomorphism(skew_perspective(spec1),
                                       skew_perspective(spec2), mapping):

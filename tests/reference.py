@@ -2,8 +2,9 @@
 freeness from its definition, the alternate-center condition, the Veblen
 labellings by exhaustive search, the Grassmannian-axis classification by a
 sweep over every skew, the n = 4 census orbits under the explicit side swap,
-the empty graph, the Veronesian two-letter clique candidates and the sorting
-canonical-form seed and refinement.  They back claims the tests check; the
+the empty graph, the Veronesian two-letter clique candidates, the sorting
+canonical-form seed and refinement, and the label-level Grassmannian and
+pair-map image of an axis.  They back claims the tests check; the
 library itself does not need them.
 """
 
@@ -16,7 +17,7 @@ from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
 from perspectra.incidence import (Configuration, IncidenceError, c_point,
                                   free_point, third_point)
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
-                              kappa_composed, pairs_of, parse_cycles)
+                              kappa_composed, pairs_of, parse_cycles, top)
 
 
 def cycle_type(sigma: Permutation) -> tuple[int, ...]:
@@ -265,3 +266,22 @@ def refine_by_sorting(search, colors):
         if len(lut) == cells or len(lut) == n:
             return colors
         cells = len(lut)
+
+
+def grassmannian_by_labels(n: int) -> Configuration:
+    """G(n, 2) built on point labels: the c-points of {1..n}, and for each
+    3-subset Y the line on the c-points of top(Y)."""
+    points = [c_point(i, j) for i, j in pairs_of(n)]
+    lines = [tuple(c_point(*u) for u in top(Y))
+             for Y in combinations(range(1, n + 1), 3)]
+    return Configuration.build(points, lines)
+
+
+def pair_map_axis_by_labels(pmap, axis: Configuration) -> Configuration:
+    """The image of an axis under a pair map, label by label: each line's
+    c-points are sent through pmap, on the axis's own points."""
+    lines = []
+    for line in axis.lines:
+        labs = axis.line_labels(line)
+        lines.append(tuple(c_point(*pmap(lab.key)) for lab in labs))
+    return Configuration.build(axis.points, lines)

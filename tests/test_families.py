@@ -17,10 +17,12 @@ from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  perm_spec, quasi_grassmannian,
                                  quasi_grassmannian_perm, skew_perspective,
                                  veblen_catalog, veronesian, zeta)
-from perspectra.perms import kappa, pairs_of
+from perspectra.perms import (all_permutations, induced_pair_map, kappa,
+                              kappa_composed, pairs_of)
 from perspectra.iso import are_isomorphic
 
-from reference import cycle_type, empty_graph, veronesian_two_letter_set
+from reference import (cycle_type, empty_graph, grassmannian_by_labels,
+                       pair_map_axis_by_labels, veronesian_two_letter_set)
 
 
 def test_skew_perspective_signature():
@@ -118,6 +120,18 @@ def test_veblen_catalog_shape():
     assert count_top_lines(cat["V5"]) == 1 and count_star_lines(cat["V5"]) == 0
     # kappa swaps tops and stars
     assert count_star_lines(apply_pair_map_to_axis(kappa(), cat["V5"])) == 1
+
+
+def test_axes_match_their_label_level_builds():
+    # every labelling under all 48 maps u -> phi(u), kappa(phi(u)), and G(n, 2)
+    maps = [f(phi) for phi in all_permutations(4)
+            for f in (induced_pair_map, kappa_composed)]
+    for axis in all_veblen_labelings():
+        for pmap in maps:
+            assert apply_pair_map_to_axis(pmap, axis) == \
+                pair_map_axis_by_labels(pmap, axis)
+    for n in range(3, 9):
+        assert grassmannian(n) == grassmannian_by_labels(n)
 
 
 def test_multiveblen_complete_graph_is_plain_skew():

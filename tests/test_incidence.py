@@ -85,6 +85,14 @@ def test_build_rejects_a_line_through_an_unknown_point():
     assert str(exc.value) == "no such point b"
 
 
+def test_build_rejects_a_line_of_fewer_than_two_points():
+    a, b = map(free_point, "ab")
+    for line, stored in (((), "()"), ((b,), "(1,)")):
+        with pytest.raises(IncidenceError) as exc:
+            Configuration.build([a, b], [(a, b), line])
+        assert str(exc.value) == f"line {stored} has fewer than two points"
+
+
 def test_verify_desargues_signature():
     # the classical 10_3 configuration
     sig = verify(desargues())
@@ -235,7 +243,10 @@ def test_constructor_rejects_duplicate_lines_and_unknown_points():
     ([0, 1, 2], "lines must be tuples of int point indices"),
     ((0, 1.0, 2), "lines must be tuples of int point indices"),
     ((0, True, 2), "lines must be tuples of int point indices"),
-], ids=["reversed", "repeated", "unsorted", "line-order", "list", "float", "bool"])
+    ((), "line () has fewer than two points"),
+    ((0,), "line (0,) has fewer than two points"),
+], ids=["reversed", "repeated", "unsorted", "line-order", "list", "float", "bool",
+        "empty", "single"])
 def test_constructor_rejects_malformed_line_storage(line, message):
     # a line stored out of order or with a repeated index is malformed, not
     # an irregular configuration
@@ -245,15 +256,31 @@ def test_constructor_rejects_malformed_line_storage(line, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("points, message", [
+    (tuple(map(free_point, "wwx")), "duplicate point labels"),
+    (tuple(map(free_point, "xwy")), "points are not in label order"),
+    (tuple(map(free_point, "wxw")), "duplicate point labels"),
+    (("w", "x", "y"), "points must be PointLabels"),
+], ids=["repeated", "unsorted", "repeated-unsorted", "str"])
+def test_constructor_rejects_malformed_points(points, message):
+    # build and from_json sort the points and merge or reject repeats; the raw
+    # constructor takes them as given
+    with pytest.raises(IncidenceError) as caught:
+        Configuration(points, ((0, 1, 2),))
+    assert str(caught.value) == message
+
+
+_NAMES = st.lists(st.sampled_from("uvwxyz"), min_size=1)
 _INDEX_LINES = st.lists(st.lists(st.integers(-1, 6), max_size=4).map(tuple),
                         max_size=6)
 
 
 @settings(derandomize=True, max_examples=300)
-@given(st.lists(st.sampled_from("uvwxyz"), min_size=1, unique=True), _INDEX_LINES)
+@given(st.one_of(_NAMES.map(lambda names: sorted(set(names))), _NAMES), _INDEX_LINES)
 def test_constructor_accepts_exactly_what_build_stores(names, lines):
-    # raw storage is accepted iff build stores the same labelled lines so
-    points, lines = tuple(sorted(map(free_point, names))), tuple(lines)
+    # raw storage is accepted iff build stores the same points and the same
+    # labelled lines so; half the point lists are drawn sorted and unrepeated
+    points, lines = tuple(map(free_point, names)), tuple(lines)
     try:
         config = Configuration(points, lines)
     except IncidenceError:
@@ -264,9 +291,9 @@ def test_constructor_accepts_exactly_what_build_stores(names, lines):
     try:
         built = Configuration.build(points, [[points[i] for i in line]
                                              for line in lines])
-    except IncidenceError:      # a repeated point
+    except IncidenceError:      # a repeated point or a short line
         built = None
-    if built is None or built.lines != lines:
+    if built is None or (built.points, built.lines) != (points, lines):
         assert config is None
         return
     assert config == built and verify(config) == verify(built)
