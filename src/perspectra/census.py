@@ -1,6 +1,7 @@
 """Classification censuses: Grassmannian-axis types by cycle type, the full
 n=4 enumeration over all Veblen labelings for both skew families, and the
-identify-this-configuration lookup.
+identify-this-configuration lookup, which reads its input back as a skew
+perspective.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ from itertools import permutations
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
-from .perms import (Permutation, induced_pair_map, kappa_composed, orbits,
-                    partitions)
-from .families import (SkewPerspectiveSpec, all_veblen_labelings, fez,
-                       grassmannian, kantor, labeling_action, multiveblen,
-                       path_graph, quasi_grassmannian, skew_perspective)
+from .perms import (Permutation, all_permutations, induced_pair_map,
+                    kappa_composed, orbits, partitions)
+from .families import (SkewPerspectiveSpec, _line_pair_sets,
+                       all_veblen_labelings, fez, grassmannian, kantor,
+                       labeling_action, multiveblen, path_graph,
+                       quasi_grassmannian, skew_perspective)
 from .analysis import free_count, third_graph_criterion
 from .iso import automorphism_count, canonical_form
 
@@ -142,16 +144,20 @@ def classify_grasaxis(n: int):
     return entries
 
 
+# the n = 4 census families and the lift of sigma to each family's skew
+_FAMILY_LIFTS = {"perm": induced_pair_map, "kappa": kappa_composed}
+
+
 def census_n4(family: str) -> list[CensusEntry]:
     """The n = 4 census of one skew family, "perm" or "kappa", over every
     Veblen labeling, keyed by its index in all_veblen_labelings()."""
+    if family not in _FAMILY_LIFTS:
+        raise IncidenceError(f"unknown census family {family!r}")
     labelings, (swap, cycle, complement) = all_veblen_labelings(), labeling_action()
     keys = range(len(labelings))
-    lifts = {"perm": (induced_pair_map, keys), "kappa": (kappa_composed, complement)}
-    if family not in lifts:
-        raise IncidenceError(f"unknown census family {family!r}")
-    lift, epsilon = lifts[family]
-    return _census(family, 4, lift, labelings, keys, (swap, cycle, epsilon))
+    epsilon = complement if family == "kappa" else keys
+    return _census(family, 4, _FAMILY_LIFTS[family], labelings, keys,
+                   (swap, cycle, epsilon))
 
 
 PAPER_PERM_TOTAL = 42
@@ -206,14 +212,77 @@ def full_census() -> CensusReport:
 
 
 @lru_cache(maxsize=1)
-def _identify_index() -> dict:
-    """The full census entries by canonical hash; built once per process."""
-    return {e.canonical_hash: e for e in full_census().entries}
+def _identify_index() -> tuple:
+    """The tables identify reads, built once per process from the full
+    census: each member (family, str(sigma), labelling index) -> its entry;
+    each Veblen labelling's pair-line set -> its index; and each of the 48
+    census skews, as the set of its pair map's items -> (family, str(sigma))."""
+    members = {(e.family,) + member: e for e in full_census().entries
+               for member in e.members}
+    axes = {_line_pair_sets(axis): li
+            for li, axis in enumerate(all_veblen_labelings())}
+    skews = {frozenset(lift(sigma).as_dict().items()): (family, str(sigma))
+             for family, lift in _FAMILY_LIFTS.items()
+             for sigma in all_permutations(4)}
+    return members, axes, skews
+
+
+def _read_skew(lines, p, axes, skews):
+    """The census member that the lines of a 15-point binomial configuration
+    are, read as a skew perspective with center p, or None.  The lines
+    through p pair up the 8 side points and number the pairs; every other
+    line holds 2 side points and a c-point, or 3 c-points (the axis).  The
+    side lines must make two K4s, each taking one point of each pair: the
+    one holding the first pair's first point is the a-side.  Each c-point is
+    then c_u for its a-line's pair u, and a b-line through c_u on the pair v
+    gives delta(u) = v.  The lines are then those of skew_perspective on
+    (delta, axis), and a census skew with a Veblen axis is a member."""
+    pairs = [[v for v in line if v != p] for line in lines if p in line]
+    number = {v: i for i, pair in enumerate(pairs, 1) for v in pair}
+    side_lines, axis = [], []
+    for line in lines:
+        x, y, z = line
+        held = (x in number) + (y in number) + (z in number)
+        if held == 0:
+            axis.append(line)
+        elif held != 2:
+            return None
+        elif p not in line:
+            side_lines.append(line)
+    first = pairs[0][0]
+    a_side = {v for line in side_lines if first in line for v in line if v in number}
+    if sorted(map(number.__getitem__, a_side)) != [1, 2, 3, 4]:
+        return None
+    label, b_lines = {}, []
+    for line in side_lines:
+        u = tuple(sorted(number[v] for v in line if v in number))
+        c = next(v for v in line if v not in number)
+        on_a = len(a_side.intersection(line))
+        if on_a == 2:
+            label[c] = u
+        elif on_a == 0:
+            b_lines.append((c, u))
+        else:
+            return None
+    if len(label) != 6:
+        return None
+    skew = skews.get(frozenset((label[c], v) for c, v in b_lines))
+    li = axes.get(frozenset(frozenset(map(label.__getitem__, line))
+                            for line in axis))
+    return None if skew is None or li is None else (*skew, li)
 
 
 def identify(config: Configuration):
-    """Canonical-hash lookup of a 15-point binomial configuration against the
-    full n=4 census."""
+    """The full n = 4 census entry of a 15-point binomial configuration, or
+    None.  Read back as a skew perspective from a center, the configuration
+    is one labelled instance; a census class lists every instance and is
+    closed under renumbering and the side swap, so an input isomorphic to a
+    member reads as a member at the image of that member's center."""
     require_signature(config, (15, 4, 20, 3),
                       "not a 15-point binomial configuration")
-    return _identify_index().get(canonical_form(config).cert)
+    members, axes, skews = _identify_index()
+    for p in range(len(config.points)):
+        member = _read_skew(config.lines, p, axes, skews)
+        if member is not None:
+            return members[member]
+    return None

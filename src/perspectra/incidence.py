@@ -91,7 +91,10 @@ def parse_label(text: str) -> PointLabel:
         return (a_point if m.group(1) == "a" else b_point)(int(m.group(2)))
     m = _C_RE.match(text)
     if m:
-        return c_point(int(m.group(1)), int(m.group(2)))
+        i, j = int(m.group(1)), int(m.group(2))
+        if i == j:
+            raise IncidenceError(f"point {text!r}: c-label needs a 2-subset")
+        return c_point(i, j)
     return free_point(text)
 
 

@@ -181,9 +181,10 @@ def canonical_form(config: Configuration) -> CanonicalForm:
     return _canonical(len(config.points), config.lines)
 
 
-# The size holds the forms of all 1,440 labelled n = 4 instances and the two
-# census labels that are none of them (1,442, a superset of the 71 that
-# full_census computes) plus one relabelled pass over the 1,440 instances.
+# Filled by the censuses (full_census computes 71 forms, classify_grasaxis
+# one per cycle type), automorphism_count and are_isomorphic; identify reads
+# no form.  The size holds the forms of all 1,440 labelled n = 4 instances
+# and the census labels (1,442) with room to spare.
 @functools.lru_cache(maxsize=4096)
 def _canonical(n: int, lines: tuple) -> CanonicalForm:
     start = time.perf_counter()

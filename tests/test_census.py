@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+from itertools import permutations
 
 import pytest
 
@@ -16,14 +17,16 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                identify)
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
                                  all_veblen_labelings, apply_pair_map_to_axis,
-                                 desargues, enumerate_veblen, fez,
-                                 grassmannian, kantor, labeling_action,
+                                 complete_graph, desargues, enumerate_veblen,
+                                 fez, grassmannian, kantor, labeling_action,
                                  multiveblen, path_graph, perm_spec,
-                                 quasi_grassmannian, skew_perspective)
-from perspectra.incidence import a_point, b_point, c_point, center
+                                 quasi_grassmannian, skew_perspective, zeta)
+from perspectra.incidence import (a_point, b_point, c_point, center,
+                                  free_point, from_json, to_json_dict)
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
-                              kappa_composed, pairs_of, partitions)
+                              kappa_composed, pair_perm_from_dict, pairs_of,
+                              partitions)
 
 from reference import (grasaxis_by_sweep, n4_orbits_by_side_swap,
                        veblen_labelings_by_subsets)
@@ -178,6 +181,101 @@ def test_identify_rejects_wrong_signature():
 def test_identify_reflects_membership(census_report):
     entry = identify(skew_perspective(perm_spec(4, "(1,2,3,4)")))
     assert entry is not None and entry.family == "perm"
+
+
+def _relabelled(config, rng):
+    """config sent through JSON and from_json with its points renamed to
+    shuffled free names, and its lines and their points shuffled."""
+    data = to_json_dict(config)
+    data["points"] = rng.sample([f"v{i}" for i in range(len(config.points))],
+                                len(config.points))
+    data["lines"] = [rng.sample(line, len(line)) for line in data["lines"]]
+    rng.shuffle(data["lines"])
+    return from_json(json.dumps(data))
+
+
+def _instances():
+    """((family, (str(sigma), labelling index)), spec) for each of the 1,440
+    labelled n = 4 instances."""
+    return [((family, (str(sigma), li)), SkewPerspectiveSpec(4, lift(sigma), axis))
+            for family, lift in (("perm", induced_pair_map), ("kappa", kappa_composed))
+            for sigma in all_permutations(4)
+            for li, axis in enumerate(all_veblen_labelings())]
+
+
+def test_identify_matches_the_cert_lookup(census_report):
+    # second method: identify gives the census entry with the input's
+    # canonical cert, or None when no entry has it.  The inputs: the 1,440
+    # labelled instances, all 720 bijections of the pairs each over three
+    # seeded Veblen labellings, and the named 15-point configurations, all
+    # relabelled (the named ones also as built)
+    by_cert = {e.canonical_hash: e for e in census_report.entries}
+    rng = random.Random("identify-oracle")
+    labelings = all_veblen_labelings()
+    for (family, member), spec in _instances():
+        config = _relabelled(skew_perspective(spec), rng)
+        entry = identify(config)
+        assert entry == by_cert[canonical_form(config).cert]
+        assert entry.family == family and member in entry.members
+    g4 = grassmannian(4)
+    named = [grassmannian(6), quasi_grassmannian(4),
+             multiveblen(4, path_graph(4), g4), multiveblen(4, set(), g4),
+             multiveblen(4, complete_graph(4), g4),
+             skew_perspective(SkewPerspectiveSpec(4, zeta(), g4))]
+    configs = named + [_relabelled(config, rng) for config in named]
+    configs += [_relabelled(skew_perspective(SkewPerspectiveSpec(
+        4, pair_perm_from_dict(4, dict(zip(pairs_of(4), image))),
+        rng.choice(labelings))), rng)
+        for image in permutations(pairs_of(4)) for _ in range(3)]
+    found = []
+    for config in configs:
+        entry = identify(config)
+        assert entry == by_cert.get(canonical_form(config).cert)
+        found.append(entry is not None)
+    assert sum(found[:12]) == 12
+    assert sum(found[12:]) == 169
+
+
+def test_identify_runs_no_canonical_search(census_report):
+    # once its index exists, identify reads its input back as a skew
+    # perspective and asks the canonical-form kernel for nothing
+    rng = random.Random("identify-no-search")
+    configs = [_relabelled(skew_perspective(spec), rng)
+               for _, spec in rng.sample(_instances(), 40)]
+    stray = skew_perspective(SkewPerspectiveSpec(4, pair_perm_from_dict(
+        4, dict(zip(pairs_of(4), ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 4))))),
+        grassmannian(4)))
+    identify(grassmannian(6))
+    before = iso._canonical.cache_info()
+    assert all(identify(config) is not None for config in configs)
+    assert identify(stray) is None
+    assert iso._canonical.cache_info() == before
+
+
+def test_census_skew_pair_maps_are_distinct():
+    # identify keys the 48 census skews by their pair maps, so no two of
+    # the maps may coincide
+    members, axes, skews = census._identify_index()
+    assert sorted(skews.values()) == sorted(
+        (family, str(sigma)) for family in ("perm", "kappa")
+        for sigma in all_permutations(4))
+    assert len(axes) == 30 and len(members) == 1440
+
+
+def test_identify_reads_a_center_at_the_last_index(census_report):
+    # the 4-cycle skew over G has one center; renamed to the last label, it
+    # is the last point tried
+    config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
+    data = to_json_dict(config)
+    data["points"] = ["z" if name == "p" else "y" + name for name in data["points"]]
+    moved = from_json(json.dumps(data))
+    assert moved.points[-1] == free_point("z")
+    _, axes, skews = census._identify_index()
+    assert [p for p in range(15)
+            if census._read_skew(moved.lines, p, axes, skews)] == [14]
+    entry = identify(moved)
+    li = all_veblen_labelings().index(grassmannian(4))
+    assert entry.family == "perm" and ("(1,2,3,4)", li) in entry.members
 
 
 def test_canonical_output_is_pinned(census_report):

@@ -190,6 +190,8 @@ _PAL = ["p", "a1", "b1"]
     ({"points": _PAL, "lines": [[0, 1, 1], [0, 2, 2]]},
      "repeated point in line [PointLabel('p'), PointLabel('a1'), PointLabel('a1')]"),
     ({"points": _PAL, "lines": [[0, 1, 2], [2, 1, 0]]}, "duplicate line"),
+    ({"points": ["p", "c{1,1}"], "lines": []},
+     "point 'c{1,1}': c-label needs a 2-subset"),
 ])
 def test_json_error_messages_are_pinned(data, message):
     with pytest.raises(IncidenceError) as caught:
