@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,35 @@ def test_reperspective_of_the_empty_multiveblen_is_pinned():
     assert len(specs) == 12
     assert hashlib.sha256("\n".join(specs).encode()).hexdigest() == \
         "57b82c0ccd81d48d4a14e09a963f38b7c084c520553de6f68ef68b34c631c405"
+
+
+def test_reperspective_outcomes_are_pinned(census_report):
+    # every ordered pair of free (n+1)-cliques meeting in one point, and of
+    # free n-cliques (sub-perspectives, all rejected), over the census
+    # representatives and seven named configurations: the spec read, or
+    # "rejected" whatever the message
+    configs = [skew_perspective(e.representative) for e in census_report.entries]
+    configs += [grassmannian(5), grassmannian(6), fez(), kantor(), veronesian(4),
+                quasi_grassmannian(4), quasi_grassmannian(5)]
+    outcomes = []
+    for config in configs:
+        n = next(n for n in range(2, 10) if len(config.points) == comb(n + 2, 2))
+        for m in (n + 1, n):
+            for g1, g2 in permutations(free_complete_subgraphs(config, m).free_sets, 2):
+                common = set(g1) & set(g2)
+                if len(common) != 1:
+                    continue
+                q = common.pop()
+                try:
+                    spec = reperspective(config, q, g1, g2)
+                except IncidenceError:
+                    outcomes.append("rejected")
+                    continue
+                outcomes.append(json.dumps([str(q), spec.n, spec.describe_skew(),
+                                            to_json_dict(spec.axis)]))
+    assert (len(outcomes), outcomes.count("rejected")) == (9280, 9000)
+    assert hashlib.sha256("\n".join(outcomes).encode()).hexdigest() == \
+        "845f77fa520428fb55e92ea9b3fe190d9cd5b68c66b946c24a0379fd37b60ead"
 
 
 def test_repeated_vertex_is_not_free():
