@@ -7,8 +7,8 @@ __version__ = "1.0.0"
 
 from .incidence import (Configuration, ConfigurationSignature, IncidenceError,
                         PointLabel, ViolationReport, a_point, b_point, c_point,
-                        center, free_point, from_json, parse_label, to_json,
-                        verify)
+                        center, free_point, from_json, join, parse_label,
+                        third_point, to_json, verify)
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa, kappa_composed, parse_cycles)
 from .families import (SkewPerspectiveSpec, desargues, enumerate_veblen, fez,

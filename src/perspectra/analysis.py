@@ -8,12 +8,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .incidence import (Configuration, IncidenceError, PointLabel, a_point,
-                        b_point, c_point, require_partial_linear, third_point)
+                        b_point, c_point, require_partial_linear)
 from .perms import (PairPermutation, Permutation, all_permutations,
                     induced_pair_map, kappa_composed, pair_perm_from_dict,
                     pairs_of, star)
-from .families import SkewPerspectiveSpec, _pair_axis, skew_perspective
-from .iso import are_isomorphic
+from .families import (SkewPerspectiveSpec, _pair_axis, _read_perspective,
+                       skew_perspective)
+from .iso import is_isomorphism
 
 
 def _is_free(joins: dict, clique) -> bool:
@@ -143,38 +144,29 @@ def classify_pair_skew(delta: PairPermutation) -> SkewClass:
 
 def reperspective(config: Configuration, q: PointLabel, g1, g2) -> SkewPerspectiveSpec:
     """Re-present config as a perspective with center q between the free
-    complete graphs g1, g2 (which must intersect exactly in q)."""
+    complete graphs g1, g2 (which must intersect exactly in q); g1's other
+    points, in index order, are a_1, ..., a_n."""
     g1, g2 = list(g1), list(g2)
     if (set(g1) & set(g2) != {q} or len(g1) != len(g2)
             or not (is_freely_contained(config, g1)
                     and is_freely_contained(config, g2))):
         raise IncidenceError("not a perspective pair from q")
-
-    def third(x, y, among):
-        z = third_point(config, x, y)
-        if z not in among:
-            raise IncidenceError("not a perspective pair from q")
-        return z
-
     n = len(g1) - 1
-    a_side = sorted((x for x in g1 if x != q), key=config.index_of)
-    b_side = [third(q, x, g2) for x in a_side]
-    off = set(config.points) - set(g1) - set(g2)
-    pair_of_c = {third(x, y, off): (i, j) for (i, x), (j, y)
-                 in combinations(enumerate(a_side, 1), 2)}
-    skew = {pair_of_c[third(x, y, pair_of_c)]: (i, j) for (i, x), (j, y)
-            in combinations(enumerate(b_side, 1), 2)}
+    a_side = sorted(config.index_of(x) for x in g1 if x != q)
+    read = _read_perspective(config, config.index_of(q), a_side)
+    if read is None:
+        raise IncidenceError("not a perspective pair from q")
+    labels, skew, axis_lines = read
+    rename = {config.points[v]: lab for v, lab in labels.items()}
+    if {x for x, lab in rename.items() if lab.kind in ("p", "b")} != set(g2):
+        raise IncidenceError("not a perspective pair from q")
     delta = pair_perm_from_dict(n, skew)
     cls = classify_pair_skew(delta)
     if cls.kind == "induced":
         delta = induced_pair_map(cls.phi)
     elif cls.kind == "complement":
         delta = kappa_composed(cls.phi)
-    axis = _pair_axis(n, ([pair_of_c[lab] for lab in labs]
-                          for labs in map(config.line_labels, config.lines)
-                          if pair_of_c.keys() >= set(labs)))
-    spec = SkewPerspectiveSpec(n, delta, axis)
-    rebuilt = skew_perspective(spec)
-    if are_isomorphic(rebuilt, config) is None:
+    spec = SkewPerspectiveSpec(n, delta, _pair_axis(n, axis_lines))
+    if not is_isomorphism(config, skew_perspective(spec), rename):
         raise IncidenceError("reperspective round-trip failed")
     return spec

@@ -16,9 +16,9 @@ from .incidence import (Configuration, IncidenceError, require_signature,
 from .perms import (Permutation, all_permutations, induced_pair_map,
                     kappa_composed, orbits, partitions)
 from .families import (SkewPerspectiveSpec, _line_pair_sets,
-                       all_veblen_labelings, fez, grassmannian, kantor,
-                       labeling_action, multiveblen, path_graph,
-                       quasi_grassmannian, skew_perspective)
+                       _read_perspective, all_veblen_labelings, fez,
+                       grassmannian, kantor, labeling_action, multiveblen,
+                       path_graph, quasi_grassmannian, skew_perspective)
 from .analysis import free_count, third_graph_criterion
 from .iso import automorphism_count, canonical_form
 
@@ -227,62 +227,24 @@ def _identify_index() -> tuple:
     return members, axes, skews
 
 
-def _read_skew(lines, p, axes, skews):
-    """The census member that the lines of a 15-point binomial configuration
-    are, read as a skew perspective with center p, or None.  The lines
-    through p pair up the 8 side points and number the pairs; every other
-    line holds 2 side points and a c-point, or 3 c-points (the axis).  The
-    side lines must make two K4s, each taking one point of each pair: the
-    one holding the first pair's first point is the a-side.  Each c-point is
-    then c_u for its a-line's pair u, and a b-line through c_u on the pair v
-    gives delta(u) = v.  The lines are then those of skew_perspective on
-    (delta, axis), and a census skew with a Veblen axis is a member."""
-    pairs = [[v for v in line if v != p] for line in lines if p in line]
-    number = {v: i for i, pair in enumerate(pairs, 1) for v in pair}
-    side_lines, axis = [], []
-    for line in lines:
-        x, y, z = line
-        held = (x in number) + (y in number) + (z in number)
-        if held == 0:
-            axis.append(line)
-        elif held != 2:
-            return None
-        elif p not in line:
-            side_lines.append(line)
-    first = pairs[0][0]
-    a_side = {v for line in side_lines if first in line for v in line if v in number}
-    if sorted(map(number.__getitem__, a_side)) != [1, 2, 3, 4]:
-        return None
-    label, b_lines = {}, []
-    for line in side_lines:
-        u = tuple(sorted(number[v] for v in line if v in number))
-        c = next(v for v in line if v not in number)
-        on_a = len(a_side.intersection(line))
-        if on_a == 2:
-            label[c] = u
-        elif on_a == 0:
-            b_lines.append((c, u))
-        else:
-            return None
-    if len(label) != 6:
-        return None
-    skew = skews.get(frozenset((label[c], v) for c, v in b_lines))
-    li = axes.get(frozenset(frozenset(map(label.__getitem__, line))
-                            for line in axis))
-    return None if skew is None or li is None else (*skew, li)
-
-
 def identify(config: Configuration):
     """The full n = 4 census entry of a 15-point binomial configuration, or
-    None.  Read back as a skew perspective from a center, the configuration
-    is one labelled instance; a census class lists every instance and is
-    closed under renumbering and the side swap, so an input isomorphic to a
-    member reads as a member at the image of that member's center."""
+    None.  Read back as a skew perspective from a center p, with a_1 the
+    first point on a line with p and a_2, a_3, a_4 the others on a line with
+    both but b_1, the configuration is one labelled instance.  A census
+    class lists every instance and is closed under renumbering and the side
+    swap, so an input isomorphic to a member reads as a member at the image
+    of that member's center."""
     require_signature(config, (15, 4, 20, 3),
                       "not a 15-point binomial configuration")
     members, axes, skews = _identify_index()
-    for p in range(len(config.points)):
-        member = _read_skew(config.lines, p, axes, skews)
-        if member is not None:
-            return members[member]
+    third = config._third
+    for p, on_p in enumerate(third):
+        a1 = next(x for x, b in enumerate(on_p) if b is not None)
+        a_side = [a1] + [x for x, c in enumerate(third[a1]) if c is not None
+                         and on_p[x] is not None and x != on_p[a1]]
+        if len(a_side) == 4 and (read := _read_perspective(config, p, a_side)):
+            skew, li = skews.get(frozenset(read[1].items())), axes.get(read[2])
+            if skew is not None and li is not None:
+                return members[(*skew, li)]
     return None

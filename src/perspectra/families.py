@@ -110,6 +110,40 @@ def skew_perspective(spec: SkewPerspectiveSpec) -> Configuration:
     return _perspective(spec.n, side_lines, spec.axis, "construction")
 
 
+def _read_perspective(config: Configuration, p: int, a_side):
+    """The inverse of skew_perspective: config read as a skew perspective
+    with center p and a_1, ..., a_n the point indices a_side, as (labels,
+    delta, axis), or None.  b_i is the third point of p a_i, c_u for u =
+    {i, j} that of a_i a_j, and b_i b_j passes through c_u for delta(u) =
+    (i, j); the axis is the lines wholly on c-points, as _line_pair_sets
+    reads them, and labels maps each point index to its label.  None unless
+    the points read are all of config's, each once, delta is a bijection
+    and config has no other lines: then it is skew_perspective of what was
+    read, relabelled."""
+    third = config._third
+    n = len(a_side)
+    b_side = [third[p][a] for a in a_side]
+    pair_of = {third[x][y]: (i, j) for (i, x), (j, y)
+               in combinations(enumerate(a_side, 1), 2)}
+    size = 1 + 2 * n + comb(n, 2)
+    read = {p, *a_side, *b_side, *pair_of}
+    if None in read or len(read) != size or len(config.points) != size:
+        return None
+    delta = {}
+    for (i, x), (j, y) in combinations(enumerate(b_side, 1), 2):
+        if (u := pair_of.get(third[x][y])) is None:
+            return None
+        delta[u] = (i, j)
+    axis = frozenset(frozenset(map(pair_of.__getitem__, line))
+                     for line in config.lines if pair_of.keys() >= set(line))
+    if len(delta) != len(pair_of) or len(config.lines) != n + 2 * len(delta) + len(axis):
+        return None
+    labels = {p: center(), **{c: c_point(*u) for c, u in pair_of.items()}}
+    for i, (a, b) in enumerate(zip(a_side, b_side), 1):
+        labels[a], labels[b] = a_point(i), b_point(i)
+    return labels, delta, axis
+
+
 def zeta() -> PairPermutation:
     """The pair map swapping {1,2} with its complement {3,4}, fixing the rest.
 

@@ -182,6 +182,16 @@ class Configuration:
         return joins
 
     @cached_property
+    def _third(self) -> list:
+        """_third[x][y]: the third point of the 3-point line through x and
+        y, or None."""
+        third = [[None] * len(self.points) for _ in self.points]
+        for (x, y), line in self._joins.items():
+            if len(line) == 3:
+                third[x][y] = third[y][x] = sum(line) - x - y
+        return third
+
+    @cached_property
     def _verified(self):
         return _check_axioms(self)
 
@@ -272,10 +282,8 @@ def join(config: Configuration, x: PointLabel, y: PointLabel):
 
 def third_point(config: Configuration, x: PointLabel, y: PointLabel):
     """x + y: the remaining point of the line through x and y (3-point lines)."""
-    line = join(config, x, y)
-    if line is None or len(line) != 3:
-        return None
-    return next(lab for lab in line if lab != x and lab != y)
+    z = config._third[config.index_of(x)][config.index_of(y)]
+    return None if z is None else config.points[z]
 
 
 def to_json_dict(config: Configuration) -> dict:

@@ -78,6 +78,8 @@ _MAX_Q = 127
 # building GF(127) takes about 0.03 s.
 @lru_cache(maxsize=8)
 def galois_field(q: int) -> GF:
+    if type(q) is not int:
+        raise IncidenceError(f"q must be an int, got {q!r}")
     if q > _MAX_Q:
         raise IncidenceError(f"no field of order {q} available: "
                              f"q is above the bound {_MAX_Q}")
@@ -452,10 +454,7 @@ def embed_search(config: Configuration, q: int, budget: int = 10 ** 9) -> EmbedR
         if len(line) != 3:
             raise IncidenceError(f"line {line} does not have 3 points")
     require_partial_linear(config)
-    # third[u][v]: the third point of the line through u and v, or None
-    third = [[None] * len(config.points) for _ in config.points]
-    for (x, y), line in config._joins.items():
-        third[x][y] = third[y][x] = sum(line) - x - y
+    third = config._third
     frame = next((quad for quad in combinations(range(len(config.points)), 4)
                   if all(third[u][v] != w for u, v, w in combinations(quad, 3))),
                  None)

@@ -5,7 +5,7 @@ import json
 import math
 import random
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -16,9 +16,10 @@ from perspectra.census import (PAPER_FULL_TOTAL, PAPER_KAPPA_TOTAL,
                                census_n4, classify_grasaxis, full_census,
                                identify)
 from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
-                                 all_veblen_labelings, apply_pair_map_to_axis,
-                                 complete_graph, desargues, enumerate_veblen,
-                                 fez, grassmannian, kantor, labeling_action,
+                                 _read_perspective, all_veblen_labelings,
+                                 apply_pair_map_to_axis, complete_graph,
+                                 desargues, enumerate_veblen, fez,
+                                 grassmannian, kantor, labeling_action,
                                  multiveblen, path_graph, perm_spec,
                                  quasi_grassmannian, skew_perspective, zeta)
 from perspectra.incidence import (a_point, b_point, c_point, center,
@@ -264,15 +265,20 @@ def test_census_skew_pair_maps_are_distinct():
 
 def test_identify_reads_a_center_at_the_last_index(census_report):
     # the 4-cycle skew over G has one center; renamed to the last label, it
-    # is the last point tried
+    # is the last point tried, and of the choices of one point on each line
+    # through a point, only its two sides read as a skew perspective
     config = skew_perspective(perm_spec(4, "(1,2,3,4)"))
     data = to_json_dict(config)
     data["points"] = ["z" if name == "p" else "y" + name for name in data["points"]]
     moved = from_json(json.dumps(data))
     assert moved.points[-1] == free_point("z")
-    _, axes, skews = census._identify_index()
-    assert [p for p in range(15)
-            if census._read_skew(moved.lines, p, axes, skews)] == [14]
+    third = moved._third
+    read = [(p, sorted(side)) for p in range(15)
+            for side in product(*sorted({tuple(sorted((x, y)))
+                                         for x, y in enumerate(third[p])
+                                         if y is not None}))
+            if _read_perspective(moved, p, sorted(side))]
+    assert sorted(read) == [(14, [0, 1, 2, 3]), (14, [4, 5, 6, 7])]
     entry = identify(moved)
     li = all_veblen_labelings().index(grassmannian(4))
     assert entry.family == "perm" and ("(1,2,3,4)", li) in entry.members

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import perspectra
-from perspectra import __version__
+from perspectra import __version__, iso
 from perspectra.census import SCHEMA_VERSION
 from perspectra.analysis import reperspective
 from perspectra.cli import _build_parser, run, spec_from_config
@@ -155,6 +155,22 @@ def test_analyze_free_and_skew_class(tmp_path, capsys):
     assert data["free_count"] == 4          # two sides + two fixed indices
     assert data["skew_class"] == "induced"
     assert data["alternate_centers"] == [3, 4]
+
+
+def test_skew_class_runs_no_canonical_search(tmp_path, capsys):
+    # reperspective checks its reading with an explicit label map, so
+    # neither it nor analyze --skew-class asks the canonical-form kernel
+    paths = [_construct(tmp_path, f"{k}.json", "--family", "skew", "--n", "4",
+                        "--skew", skew)
+             for k, skew in enumerate(["(1,2)", "(1,2,3,4)", "id"])]
+    config = skew_perspective(kappa_spec("(1,3)", veblen_catalog()["W2"]))
+    sides = [[center()] + [side(i) for i in range(1, 5)] for side in (a_point, b_point)]
+    before = iso._canonical.cache_info()
+    assert reperspective(config, center(), *sides).delta.tag == "kappa"
+    for path in paths:
+        assert run(["analyze", str(path), "--skew-class", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["skew_class"] == "induced"
+    assert iso._canonical.cache_info() == before
 
 
 def test_iso_command(tmp_path, capsys):

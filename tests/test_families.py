@@ -6,10 +6,13 @@ import json
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perspectra.incidence import (IncidenceError, a_point, b_point, c_point,
-                                  center, to_json_dict, verify)
-from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
+                                  center, free_point, from_json, to_json_dict,
+                                  verify)
+from perspectra.families import (SkewPerspectiveSpec, _line_pair_sets,
+                                 _read_perspective, all_veblen_labelings,
                                  apply_pair_map_to_axis, complete_graph,
                                  count_star_lines, count_top_lines, desargues,
                                  enumerate_veblen, fez, grassmannian, kantor,
@@ -18,8 +21,8 @@ from perspectra.families import (SkewPerspectiveSpec, all_veblen_labelings,
                                  quasi_grassmannian_perm, skew_perspective,
                                  veblen_catalog, veronesian, zeta)
 from perspectra.perms import (all_permutations, induced_pair_map, kappa,
-                              kappa_composed, pairs_of)
-from perspectra.iso import are_isomorphic
+                              kappa_composed, pair_perm_from_dict, pairs_of)
+from perspectra.iso import are_isomorphic, is_isomorphism
 
 from reference import (cycle_type, empty_graph, grassmannian_by_labels,
                        pair_map_axis_by_labels, veronesian_two_letter_set)
@@ -210,3 +213,50 @@ def test_a_general_skew_is_described_by_its_pairs():
     assert spec.describe_skew() == (
         "general:{1,2}->{3,4};{1,3}->{1,3};{1,4}->{1,4};"
         "{2,3}->{2,3};{2,4}->{2,4};{3,4}->{1,2}")
+
+
+@st.composite
+def _relabelled_perspectives(draw):
+    """A skew perspective on any pair bijection, with G(n) renamed by any
+    pair bijection or (n = 4) any Veblen labelling as its axis, and fresh
+    shuffled names for its points."""
+    n = draw(st.integers(3, 6))
+    pairs = pairs_of(n)
+
+    def pair_map():
+        return pair_perm_from_dict(n, dict(zip(pairs, draw(st.permutations(pairs)))))
+
+    if n == 4 and draw(st.booleans()):
+        axis = draw(st.sampled_from(all_veblen_labelings()))
+    else:
+        axis = apply_pair_map_to_axis(pair_map(), grassmannian(n))
+    spec = SkewPerspectiveSpec(n, pair_map(), axis)
+    names = draw(st.permutations([f"v{i}" for i in range(comb(n + 2, 2))]))
+    return spec, names
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_relabelled_perspectives())
+def test_read_perspective_inverts_skew_perspective(drawn):
+    spec, names = drawn
+    config = skew_perspective(spec)
+    data = to_json_dict(config)
+    data["points"] = names
+    moved = from_json(json.dumps(data))
+    image = [moved.index_of(free_point(name)) for name in names]
+    p = image[config.index_of(center())]
+    a_side = [image[config.index_of(a_point(i))] for i in range(1, spec.n + 1)]
+    labels, delta, axis = _read_perspective(moved, p, a_side)
+    assert delta == spec.delta.as_dict()
+    assert axis == _line_pair_sets(spec.axis)
+    assert labels == {image[k]: lab for k, lab in enumerate(config.points)}
+    assert is_isomorphism(moved, config, {moved.points[v]: lab
+                                          for v, lab in labels.items()})
+    # two new points on a new line, and a line from a_1 to c_23, which
+    # shares no line with it
+    size = len(names)
+    for points, line in ((names + ["w0", "w1"], [size, size + 1]),
+                         (names, [config.index_of(a_point(1)),
+                                  config.index_of(c_point(2, 3))])):
+        extra = dict(data, points=points, lines=data["lines"] + [line])
+        assert _read_perspective(from_json(json.dumps(extra)), p, a_side) is None

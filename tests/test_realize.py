@@ -231,6 +231,16 @@ def test_galois_field_rejects_q_above_the_bound(monkeypatch):
         embed_search(desargues(), 131)
 
 
+@pytest.mark.parametrize("q", [5.0, True, "5"])
+def test_field_order_must_be_an_int(q):
+    message = f"q must be an int, got {q!r}"
+    for call in (lambda: galois_field(q), lambda: embed_search(desargues(), q),
+                 lambda: verify_pg_embedding(desargues(), {}, q)):
+        with pytest.raises(IncidenceError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_galois_field_is_built_once_per_q(monkeypatch):
     # the plane, its points and each found embedding's check share one field
     built = []
