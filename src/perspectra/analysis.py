@@ -82,6 +82,8 @@ def _bits(mask: int):
 def free_complete_subgraphs(config: Configuration, m: int):
     """All m-vertex freely contained complete subgraphs (and all m-cliques)
     of a partial linear space whose lines all have one size."""
+    if type(m) is not int:
+        raise IncidenceError(f"clique size must be an int, got {m!r}")
     if m < 0:
         raise IncidenceError(f"clique size must not be negative, got {m}")
     require_partial_linear(config)

@@ -13,8 +13,8 @@ from itertools import permutations
 
 from .incidence import (Configuration, IncidenceError, require_signature,
                         to_json_dict)
-from .perms import (Permutation, all_permutations, induced_pair_map,
-                    kappa_composed, orbits, partitions)
+from .perms import (Permutation, all_permutations, identity,
+                    induced_pair_map, kappa_composed, orbits, partitions)
 from .families import (SkewPerspectiveSpec, _line_pair_sets,
                        _read_perspective, all_veblen_labelings, fez,
                        grassmannian, kantor, labeling_action, multiveblen,
@@ -100,19 +100,20 @@ def _classify(family: str, n: int, items) -> list[CensusEntry]:
             for cert, (spec, config, members) in classes.items()]
 
 
-def _census(family: str, n: int, lift, labelings, keys, actions):
+def _census(family: str, n: int, lift, labelings, keys):
     """One entry per isomorphism class of the instances (sigma, L), sigma in
     S_n in image order and L in labelings: the items s * len(labelings) + l,
     with members (sigma's image, keys[l]).  Relabelling by tau = (1,2) or
     (1,...,n) gives (tau sigma tau^-1, tau L); swapping the sides (a_i <->
     b_i, c_u -> c_delta(u), delta = lift(sigma) = epsilon sigma) gives
     (sigma^-1, delta L), and relabelling that by sigma^-1 gives (sigma^-1,
-    epsilon L), as epsilon, 1 or kappa, commutes with induced maps.  actions
-    holds the three moves' tables on the labelings.  Only the smallest item
-    of each orbit is built and canonicalised, and it represents its class."""
+    epsilon L), as epsilon = lift(id), 1 or kappa, commutes with induced
+    maps.  Only the smallest item of each orbit is built and canonicalised,
+    and it represents its class."""
     images = list(permutations(range(1, n + 1)))
     index = {image: s for s, image in enumerate(images)}
     size = len(labelings)
+    taus = ((2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,))
 
     def conjugation(tau):
         back = [tau.index(i) for i in range(1, n + 1)]
@@ -121,8 +122,9 @@ def _census(family: str, n: int, lift, labelings, keys, actions):
     def inverse(image):
         return tuple(image.index(i) + 1 for i in range(1, n + 1))
 
-    moves = (conjugation((2, 1) + tuple(range(3, n + 1))),
-             conjugation(tuple(range(2, n + 1)) + (1,)), inverse)
+    moves = [conjugation(tau) for tau in taus] + [inverse]
+    actions = labeling_action(labelings, [induced_pair_map(Permutation(tau))
+                                          for tau in taus] + [lift(identity(n))])
     tables = [[s + x for s in (index[move(image)] * size for image in images)
                for x in action] for move, action in zip(moves, actions)]
     return _classify(family, n, (
@@ -135,10 +137,11 @@ def _census(family: str, n: int, lift, labelings, keys, actions):
 def classify_grasaxis(n: int):
     """One class per cycle type over the Grassmannian axis: every relabelling
     fixes the axis, so the orbits are the p(n) conjugacy classes."""
+    if type(n) is not int:
+        raise IncidenceError(f"n must be an int, got {n!r}")
     if not 3 <= n <= 8:
         raise IncidenceError("supported for 3 <= n <= 8")
-    entries = _census("grasaxis", n, induced_pair_map, (grassmannian(n),),
-                      ("G",), ([0], [0], [0]))
+    entries = _census("grasaxis", n, induced_pair_map, (grassmannian(n),), ("G",))
     if len(entries) != len(partitions(n)):
         raise AssertionError("a cycle type spans several classes")
     return entries
@@ -153,11 +156,9 @@ def census_n4(family: str) -> list[CensusEntry]:
     Veblen labeling, keyed by its index in all_veblen_labelings()."""
     if family not in _FAMILY_LIFTS:
         raise IncidenceError(f"unknown census family {family!r}")
-    labelings, (swap, cycle, complement) = all_veblen_labelings(), labeling_action()
-    keys = range(len(labelings))
-    epsilon = complement if family == "kappa" else keys
-    return _census(family, 4, _FAMILY_LIFTS[family], labelings, keys,
-                   (swap, cycle, epsilon))
+    labelings = all_veblen_labelings()
+    return _census(family, 4, _FAMILY_LIFTS[family], labelings,
+                   range(len(labelings)))
 
 
 PAPER_PERM_TOTAL = 42
@@ -212,19 +213,16 @@ def full_census() -> CensusReport:
 
 
 @lru_cache(maxsize=1)
-def _identify_index() -> tuple:
-    """The tables identify reads, built once per process from the full
-    census: each member (family, str(sigma), labelling index) -> its entry;
-    each Veblen labelling's pair-line set -> its index; and each of the 48
-    census skews, as the set of its pair map's items -> (family, str(sigma))."""
-    members = {(e.family,) + member: e for e in full_census().entries
-               for member in e.members}
-    axes = {_line_pair_sets(axis): li
-            for li, axis in enumerate(all_veblen_labelings())}
-    skews = {frozenset(lift(sigma).as_dict().items()): (family, str(sigma))
+def _identify_index() -> dict:
+    """identify's lookup, built once per process from the full census: each
+    member of an entry, keyed by the set of its skew's pair-map items and
+    its labeling's pair-line set, -> the entry."""
+    skews = {(family, str(sigma)): frozenset(lift(sigma).as_dict().items())
              for family, lift in _FAMILY_LIFTS.items()
              for sigma in all_permutations(4)}
-    return members, axes, skews
+    axes = [_line_pair_sets(axis) for axis in all_veblen_labelings()]
+    return {(skews[e.family, sigma], axes[li]): e
+            for e in full_census().entries for sigma, li in e.members}
 
 
 def identify(config: Configuration):
@@ -237,14 +235,13 @@ def identify(config: Configuration):
     of that member's center."""
     require_signature(config, (15, 4, 20, 3),
                       "not a 15-point binomial configuration")
-    members, axes, skews = _identify_index()
+    index = _identify_index()
     third = config._third
     for p, on_p in enumerate(third):
         a1 = next(x for x, b in enumerate(on_p) if b is not None)
         a_side = [a1] + [x for x, c in enumerate(third[a1]) if c is not None
                          and on_p[x] is not None and x != on_p[a1]]
-        if len(a_side) == 4 and (read := _read_perspective(config, p, a_side)):
-            skew, li = skews.get(frozenset(read[1].items())), axes.get(read[2])
-            if skew is not None and li is not None:
-                return members[(*skew, li)]
+        if (len(a_side) == 4 and (read := _read_perspective(config, p, a_side))
+                and (entry := index.get((frozenset(read[1].items()), read[2])))):
+            return entry
     return None

@@ -205,24 +205,23 @@ class VeblenEnumeration:
     catalog_exhaustive: bool                     # do the six classes cover all?
 
 
-@lru_cache(maxsize=1)
-def labeling_action() -> tuple[tuple[int, ...], ...]:
-    """The action on all_veblen_labelings() of the induced maps of (1,2) and
-    (1,2,3,4), then of kappa: row[i] is the index of the image of
-    labelings[i], found from the labelings' pair-line sets (no Configuration
-    is built).  As kappa commutes with every induced map and kappa^2 = id,
-    the rows generate the action of the 48 maps u -> phi(u), kappa(phi(u)).
-    Built once per process."""
-    line_sets = [_line_pair_sets(v) for v in all_veblen_labelings()]
+def labeling_action(labelings, pair_maps) -> list[list[int]]:
+    """The action of the pair maps on the labelings: row k lists, for each
+    labeling, the index of its image under pair_maps[k], found from the
+    labelings' pair-line sets (no Configuration is built)."""
+    line_sets = [_line_pair_sets(v) for v in labelings]
     key_of = {lines: i for i, lines in enumerate(line_sets)}
-    maps = [induced_pair_map(parse_cycles(c, 4)) for c in ("(1,2)", "(1,2,3,4)")]
-    return tuple(tuple(key_of[_pair_image(m, lines)] for lines in line_sets)
-                 for m in maps + [kappa()])
+    return [[key_of[_pair_image(m, lines)] for lines in line_sets]
+            for m in pair_maps]
 
 
 def enumerate_veblen() -> VeblenEnumeration:
+    # (1,2), (1,2,3,4) and kappa, which commutes with every induced map,
+    # generate the 48 maps u -> phi(u), kappa(phi(u))
     labelings = all_veblen_labelings()
-    orbs = tuple(map(tuple, orbits(len(labelings), labeling_action())))
+    maps = [induced_pair_map(parse_cycles(c, 4)) for c in ("(1,2)", "(1,2,3,4)")]
+    orbs = tuple(map(tuple, orbits(len(labelings), labeling_action(
+        labelings, maps + [kappa()]))))
     orbit_of = {x: k for k, orbit in enumerate(orbs) for x in orbit}
     catalog_orbit = {name: orbit_of[labelings.index(axis)]
                      for name, axis in veblen_catalog().items()}

@@ -109,7 +109,8 @@ def pairs_of(n: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class PairPermutation:
-    """A bijection of the 2-subsets of {1..n}, stored on sorted pairs."""
+    """A bijection of the 2-subsets of {1..n}, stored on sorted pairs with
+    the source pairs in pairs_of(n) order."""
 
     n: int
     mapping: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
@@ -117,11 +118,14 @@ class PairPermutation:
     phi: Permutation | None = None
 
     def __post_init__(self):
+        if type(self.mapping) is not tuple:
+            raise ValueError("a pair map's mapping must be a tuple")
         ps = pairs_of(self.n)
         src = [u for u, _ in self.mapping]
         dst = [v for _, v in self.mapping]
-        if sorted(src) != ps or sorted(dst) != ps:
-            raise ValueError("not a bijection of the 2-subsets")
+        if src != ps or sorted(dst) != ps:
+            raise ValueError("not a bijection of the 2-subsets with its "
+                             "source pairs in pairs_of order")
 
     @cached_property
     def _dict(self) -> dict:
@@ -136,10 +140,10 @@ class PairPermutation:
     def compose(self, other: "PairPermutation") -> "PairPermutation":
         d = self._dict
         return PairPermutation(
-            self.n, tuple(sorted((u, d[v]) for u, v in other.mapping)))
+            self.n, tuple((u, d[v]) for u, v in other.mapping))
 
     def same_map(self, other: "PairPermutation") -> bool:
-        return self.n == other.n and sorted(self.mapping) == sorted(other.mapping)
+        return self.n == other.n and self.mapping == other.mapping
 
 
 def pair_perm_from_dict(n: int, d: dict, tag: str = "general",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from itertools import permutations
 from math import comb
 
@@ -220,6 +221,16 @@ def test_free_subgraphs_reject_negative_size():
         with pytest.raises(IncidenceError, match="must not be negative"):
             free_count(desargues(), m)
     assert free_complete_subgraphs(desargues(), 0).cliques == ((),)
+
+
+@pytest.mark.parametrize("m", [4.0, True, "5"])
+def test_free_subgraphs_reject_a_non_int_size(m):
+    # 4.0 and True once counted as 4 and 1
+    message = re.escape(f"clique size must be an int, got {m!r}")
+    with pytest.raises(IncidenceError, match=message):
+        free_complete_subgraphs(desargues(), m)
+    with pytest.raises(IncidenceError, match=message):
+        free_count(desargues(), m)
 
 
 def test_third_graph_criterion_matches_brute_force():

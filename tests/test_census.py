@@ -27,7 +27,7 @@ from perspectra.incidence import (a_point, b_point, c_point, center,
 from perspectra.iso import canonical_form, is_isomorphism
 from perspectra.perms import (Permutation, all_permutations, induced_pair_map,
                               kappa_composed, pair_perm_from_dict, pairs_of,
-                              partitions)
+                              parse_cycles, partitions)
 
 from reference import (grasaxis_by_sweep, n4_orbits_by_side_swap,
                        veblen_labelings_by_subsets)
@@ -53,6 +53,13 @@ def test_classify_grasaxis_rejects_out_of_range():
         classify_grasaxis(2)
     with pytest.raises(IncidenceError):
         classify_grasaxis(9)
+
+
+@pytest.mark.parametrize("n", [4.0, "4"])
+def test_classify_grasaxis_rejects_a_non_int_degree(n):
+    message = re.escape(f"n must be an int, got {n!r}")
+    with pytest.raises(IncidenceError, match=message):
+        classify_grasaxis(n)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -253,14 +260,23 @@ def test_identify_runs_no_canonical_search(census_report):
     assert iso._canonical.cache_info() == before
 
 
-def test_census_skew_pair_maps_are_distinct():
-    # identify keys the 48 census skews by their pair maps, so no two of
-    # the maps may coincide
-    members, axes, skews = census._identify_index()
-    assert sorted(skews.values()) == sorted(
-        (family, str(sigma)) for family in ("perm", "kappa")
-        for sigma in all_permutations(4))
-    assert len(axes) == 30 and len(members) == 1440
+def test_identify_index_has_one_key_per_member(census_report):
+    # identify looks an instance up by one key, (its skew's pair-map items,
+    # its axis's pair-line set): 1,440 distinct keys, one per member of the
+    # 68 entries, so the 48 census skews and the 30 labelings are distinct
+    index = census._identify_index()
+    assert len(index) == sum(len(e.members) for e in census_report.entries) == 1440
+    assert len({skew for skew, _ in index}) == 48
+    assert len({axis for _, axis in index}) == 30
+    by_hash = {e.canonical_hash: e for e in index.values()}
+    assert tuple(by_hash.values()) == census_report.entries
+    labelings = all_veblen_labelings()
+    lifts = {"perm": induced_pair_map, "kappa": kappa_composed}
+    for e in census_report.entries:
+        for sigma, li in e.members:
+            skew = lifts[e.family](parse_cycles(sigma, 4)).as_dict()
+            key = (frozenset(skew.items()), _line_pair_sets(labelings[li]))
+            assert index[key].canonical_hash == e.canonical_hash
 
 
 def test_identify_reads_a_center_at_the_last_index(census_report):
@@ -530,12 +546,20 @@ def test_census_orbits_match_the_explicit_side_swap(monkeypatch, family, lift):
     assert orbs == n4_orbits_by_side_swap(lift)
 
 
-def test_labeling_action_is_built_once():
-    # enumerate_veblen and both censuses share one action of the pair maps
-    # on the labellings: three generator rows, (1,2), (1,2,3,4) and kappa
-    labeling_action.cache_clear()
-    enumerate_veblen()
-    census_n4("perm")
-    census_n4("kappa")
-    assert labeling_action.cache_info().misses == 1
-    assert len(labeling_action()) == 3
+def test_labeling_action_matches_the_axis_images():
+    # second method for the rows _census and enumerate_veblen build: the
+    # index of each labelling's image, built as a Configuration, under all
+    # 48 maps; and G(n) fixed by every induced map tried
+    labelings = all_veblen_labelings()
+    maps = [lift(phi) for lift in (induced_pair_map, kappa_composed)
+            for phi in all_permutations(4)]
+    assert labeling_action(labelings, maps) == [
+        [labelings.index(apply_pair_map_to_axis(m, axis)) for axis in labelings]
+        for m in maps]
+    rng = random.Random("labeling-action")
+    for n in range(3, 9):
+        phis = [Permutation(tuple(rng.sample(range(1, n + 1), n)))
+                for _ in range(100)]
+        phis += all_permutations(n) if n <= 6 else []
+        rows = labeling_action((grassmannian(n),), map(induced_pair_map, phis))
+        assert rows == [[0]] * len(phis)

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from perspectra.perms import (PairPermutation, Permutation, all_permutations,
                               identity, induced_pair_map, kappa, kappa_composed,
-                              orbits, pairs_of, parse_cycles, partitions, star,
-                              top)
+                              orbits, pair_perm_from_dict, pairs_of,
+                              parse_cycles, partitions, star, top)
 
 from reference import (are_conjugate, aut_group, conjugacy_reps_under,
                        cycle_type, representative_of_type)
@@ -116,6 +116,17 @@ def test_pair_permutation_rejects_non_bijection():
     mapping = tuple((u, (1, 2)) for u in ps)
     with pytest.raises(ValueError):
         PairPermutation(4, mapping)
+
+
+def test_pair_permutation_requires_source_pairs_in_order():
+    # a map stored out of order, or as a list, once compared unequal to the
+    # same map stored in order, and printed out of order
+    mapping = induced_pair_map(parse_cycles("(1,2)", 4)).mapping
+    with pytest.raises(ValueError, match="pairs_of order"):
+        PairPermutation(4, tuple(reversed(mapping)))
+    with pytest.raises(ValueError, match="must be a tuple"):
+        PairPermutation(4, list(mapping))
+    assert PairPermutation(4, mapping).same_map(pair_perm_from_dict(4, dict(mapping)))
 
 
 def test_conjugacy_reps_under_full_group_matches_partitions():
